@@ -52,6 +52,8 @@ from .errors import (
     BudgetExceeded,
     MrbError,
     NotACocycle,
+    NotLeibniz,
+    NotMRBRepresentation,
     ParseError,
     UnknownCommand,
 )
@@ -124,6 +126,13 @@ def cmd_check(doc: AlgebraDocument):
 
 def cmd_cohomology(doc: AlgebraDocument, max_degree: int, budget: int):
     rep = doc.effective_representation()
+    # with an operator, building the operator complex checks the algebra and
+    # the modified module law, but nothing checks the module axioms of a
+    # module given in the document
+    if doc.operator is None and not leibniz_defect(doc.algebra).is_empty:
+        raise NotLeibniz("bracket fails the Leibniz identity")
+    if doc.representation is not None and not rep_defect(doc.algebra, rep).is_empty:
+        raise NotMRBRepresentation("module fails the Leibniz module axioms")
     if rep is None:
         rep = regular_rep(doc.algebra)
     report = cohomology_dimensions(
@@ -150,18 +159,35 @@ def cmd_derived(doc: AlgebraDocument):
     return [], document_json(out)
 
 
+def _parse_mask(text: str) -> dict:
+    """``{"entries": [[i, j, "value"], ...]}`` as a map (i, j) -> value."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"mask is not JSON: {exc}") from None
+    entries = data.get("entries", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ParseError("mask must be an object with an \"entries\" list")
+    mask = {}
+    for item in entries:
+        if not (
+            isinstance(item, list)
+            and len(item) == 3
+            and all(type(t) is int for t in item[:2])
+            and isinstance(item[2], str)
+        ):
+            raise ParseError(f"mask entry {item!r} is not [i, j, \"value\"]")
+        i, j, c = item
+        mask[(i, j)] = parse_rational(c)
+    return mask
+
+
 def cmd_search(doc: AlgebraDocument, weight: str, grid: str, mask_text: str | None, budget: int):
     w = parse_rational(weight)
     grid_vals = [parse_rational(g) for g in grid.split(",") if g.strip()]
     if not grid_vals:
         raise ParseError("empty grid")
-    mask = None
-    if mask_text is not None:
-        data = json.loads(mask_text)
-        mask = {}
-        for item in data.get("entries", []):
-            i, j, c = item
-            mask[(i, j)] = parse_rational(c)
+    mask = None if mask_text is None else _parse_mask(mask_text)
     solutions = grid_search_operators(doc.algebra, w, grid_vals, mask, budget)
     result = {
         "weight": format_rational(w),
@@ -290,8 +316,11 @@ def cmd_extend_compare(text1: str, text2: str):
 def _read(path: str | None) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

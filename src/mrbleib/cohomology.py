@@ -11,10 +11,17 @@ Three complexes are built as explicit matrices over the rationals:
   degree n holds a pair (degree-n cochain, degree-(n-1) operator cochain).
 
 A degree-n cochain is a (dim V) x (dim g)^n matrix; column order follows
-the flat multi-index with the leftmost argument most significant.  Every
-differential matrix is assembled by evaluating the defining formula on
-basis cochains, column by column, so each formula stays a small testable
-evaluator.
+the flat multi-index with the leftmost argument most significant.  As a
+vector, entry (x, b) of a cochain sits at position flat(x) * dim V + b.
+
+The differential matrices are assembled directly, one row block per output
+multi-index y: delta adds the nonzero entries of rho_L(y_i), rho_R(y_{n+1})
+and the structure constants at the columns each term of its formula reads,
+phi adds the nonzero entries of K on the unselected slots of every slot
+subset (with K_V on odd subsets), and the cone writes its block rows in one
+pass.  ``apply_delta`` and ``apply_phi`` evaluate the same formulas on a
+single cochain; the tests check that the assembled matrices agree with
+them on every basis cochain.
 """
 
 from __future__ import annotations
@@ -187,30 +194,72 @@ def apply_delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain
     return Cochain(n + 1, Matrix.from_cols(out, dim_v))
 
 
-def _basis_cochains(dim_v: int, alg_dim: int, degree: int):
-    """Yield the basis cochains in flat vector order."""
-    cols = alg_dim ** degree
-    for m in range(cols):
-        for v in range(dim_v):
-            grid = [[ZERO] * cols for _ in range(dim_v)]
-            grid[v][m] = ONE
-            yield Cochain(degree, Matrix(grid))
+def _nonzeros(m: Matrix):
+    """The nonzero entries (row, column, value) of a matrix, 0-based."""
+    return [(a, b, v) for a in range(m.rows) for b, v in enumerate(m.row(a)) if v]
 
 
-def _matrix_of(op, dim_v: int, alg_dim: int, degree: int) -> Matrix:
-    """Assemble the matrix of a cochain operation by evaluating on basis cochains."""
-    cols = [cochain_to_vec(op(c)) for c in _basis_cochains(dim_v, alg_dim, degree)]
-    out_rows = len(cols[0]) if cols else 0
-    return Matrix.from_cols(cols, out_rows)
+def _flat(indices, d: int) -> int:
+    """Flat position of a 0-based multi-index (no range check)."""
+    pos = 0
+    for i in indices:
+        pos = pos * d + i
+    return pos
+
+
+def _add(row, pos: int, v: Fraction):
+    """row[pos] += v, skipping the Fraction addition into an empty cell."""
+    old = row[pos]
+    row[pos] = old + v if old else v
 
 
 def delta_matrix(alg: LeibnizAlgebra, rep: Representation, n: int) -> Matrix:
-    """Matrix of the degree-n Loday-Pirashvili coboundary."""
+    """Matrix of the degree-n Loday-Pirashvili coboundary.
+
+    Row block y (a degree-(n+1) multi-index) collects, for each term of the
+    formula in ``apply_delta``, the nonzero coefficients at the column
+    (x, b) of the degree-n cochain entry that term reads.
+    """
     if n < 0:
         raise DimensionMismatch("degree must be >= 0")
-    return _matrix_of(
-        lambda c: apply_delta(alg, rep, c), rep.dim_v, alg.dim, n
-    )
+    d = alg.dim
+    dim_v = rep.dim_v
+    cols = dim_v * d ** n
+    left = [_nonzeros(m) for m in rep.rho_left]
+    left_neg = [[(a, b, -v) for a, b, v in nz] for nz in left]
+    right = [_nonzeros(m) for m in rep.rho_right]
+    if n % 2 == 0:  # the sign (-1)^(n+1) of the rho_R term
+        right = [[(a, b, -v) for a, b, v in nz] for nz in right]
+    brackets = {}
+    for (i, j, k), c in alg.entries:
+        brackets.setdefault((i - 1, j - 1), []).append((k - 1, c))
+    rows = []
+    for y in itertools.product(range(d), repeat=n + 1):
+        block = [[ZERO] * cols for _ in range(dim_v)]
+        # (-1)^(i+1) rho_L(y_i) f(.. no y_i ..), 1-based i <= n
+        for i in range(n):
+            base = _flat(y[:i] + y[i + 1:], d) * dim_v
+            for a, b, v in (left if i % 2 == 0 else left_neg)[y[i]]:
+                _add(block[a], base + b, v)
+        # (-1)^(n+1) rho_R(y_{n+1}) f(y_1..y_n)
+        base = _flat(y[:n], d) * dim_v
+        for a, b, v in right[y[n]]:
+            _add(block[a], base + b, v)
+        # (-1)^i f(.. no y_i .., [y_i, y_j] in slot j-1 ..), 1-based i < j
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                bracket = brackets.get((y[i], y[j]))
+                if bracket is None:
+                    continue
+                rest = list(y[:i] + y[i + 1:])
+                for k, c in bracket:
+                    rest[j - 1] = k
+                    base = _flat(rest, d) * dim_v
+                    s = -c if i % 2 == 0 else c
+                    for b in range(dim_v):
+                        _add(block[b], base + b, s)
+        rows.extend(block)
+    return Matrix._trusted(rows)
 
 
 def operator_complex_pair(
@@ -218,13 +267,6 @@ def operator_complex_pair(
 ) -> tuple[LeibnizAlgebra, Representation]:
     """The (derived algebra, induced module) pair underlying the operator complex."""
     return derived_algebra(alg, ctx), induced_rep(alg, ctx, rep)
-
-
-def apply_partial(
-    alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, f: Cochain
-) -> Cochain:
-    derived, ind = operator_complex_pair(alg, ctx, rep)
-    return apply_delta(derived, ind, f)
 
 
 def partial_matrix(
@@ -300,12 +342,58 @@ def apply_phi(
 def phi_matrix(
     alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, n: int
 ) -> Matrix:
-    """Matrix of the degree-n comparison map (identity at degree 0)."""
+    """Matrix of the degree-n comparison map (identity at degree 0).
+
+    For row block y and each slot subset S with a nonzero weight, the
+    columns x with x_i = y_i on S and K[x_i, y_i] != 0 off S receive
+    w(|S|) * prod K[x_i, y_i], times K_V when |S| is odd and times the
+    identity when it is even (see PHI_CONVENTION).
+    """
     if n == 0:
         return Matrix.identity(rep.dim_v)
-    return _matrix_of(
-        lambda c: apply_phi(alg, ctx, rep, c), rep.dim_v, alg.dim, n
-    )
+    d = alg.dim
+    dim_v = rep.dim_v
+    cols = dim_v * d ** n
+    k = ctx.operator
+    knz = [[(r, k[r, j]) for r in range(d) if k[r, j]] for j in range(d)]
+    kv = _nonzeros(rep.k_v)
+    subsets = []
+    for mask in range(1 << n):
+        r = bin(mask).count("1")
+        w = phi_weight(r, ctx.weight)
+        if w:
+            subsets.append((mask, w, r % 2 == 1))
+    rows = []
+    for y in itertools.product(range(d), repeat=n):
+        even = {}
+        odd = {}
+        for mask, w, is_odd in subsets:
+            choices = [
+                ((y[slot], None),) if mask >> slot & 1 else knz[y[slot]]
+                for slot in range(n)
+            ]
+            if not all(choices):
+                continue
+            acc = odd if is_odd else even
+            for combo in itertools.product(*choices):
+                coeff = w
+                pos = 0
+                for idx, val in combo:
+                    if val is not None:
+                        coeff *= val
+                    pos = pos * d + idx
+                acc[pos] = acc[pos] + coeff if pos in acc else coeff
+        block = [[ZERO] * cols for _ in range(dim_v)]
+        for pos, c in even.items():
+            if c:
+                for b in range(dim_v):
+                    _add(block[b], pos * dim_v + b, c)
+        for pos, c in odd.items():
+            if c:
+                for a, b, v in kv:
+                    _add(block[a], pos * dim_v + b, c * v)
+        rows.extend(block)
+    return Matrix._trusted(rows)
 
 
 @dataclass(frozen=True)
@@ -375,6 +463,10 @@ def apply_cone(
     return ConeCochain(top, bottom)
 
 
+def _negated(row) -> tuple[Fraction, ...]:
+    return tuple(-e if e else ZERO for e in row)
+
+
 def cone_differential(
     alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, n: int
 ) -> Matrix:
@@ -383,20 +475,24 @@ def cone_differential(
     Degree 0 sends f to (delta f, -f); degree n >= 1 sends (f, g) to
     (delta f, -partial g - phi f).
     """
-    d = alg.dim
-    dim_v = rep.dim_v
     if n == 0:
         top = delta_matrix(alg, rep, 0)
-        return top.vstack(-phi_matrix(alg, ctx, rep, 0))
+        ident = phi_matrix(alg, ctx, rep, 0)
+        return Matrix._trusted(
+            [top.row(i) for i in range(top.rows)]
+            + [_negated(ident.row(i)) for i in range(ident.rows)]
+        )
     derived, ind = operator_complex_pair(alg, ctx, rep)
     delta_n = delta_matrix(alg, rep, n)
     phi_n = phi_matrix(alg, ctx, rep, n)
     partial_prev = delta_matrix(derived, ind, n - 1)
-    leib_dim = dim_v * d ** n
-    op_dim = dim_v * d ** (n - 1)
-    top = delta_n.hstack(Matrix.zeros(delta_n.rows, op_dim))
-    bottom = (-phi_n).hstack(-partial_prev)
-    return top.vstack(bottom)
+    pad = (ZERO,) * partial_prev.cols
+    rows = [delta_n.row(i) + pad for i in range(delta_n.rows)]
+    rows.extend(
+        _negated(phi_n.row(i)) + _negated(partial_prev.row(i))
+        for i in range(phi_n.rows)
+    )
+    return Matrix._trusted(rows)
 
 
 @dataclass(frozen=True)
@@ -477,6 +573,10 @@ def cohomology_dimensions(
                 f"degree-{n} cochain space has {cells} cells, budget {budget}"
             )
     degrees = range(max_degree + 1)
+    if ctx is not None:
+        # validates the structure (NotLeibniz, NotModifiedRotaBaxter, ...)
+        # before any table is built from differentials that need not square to 0
+        derived, ind = operator_complex_pair(alg, ctx, rep)
     leib_dims = [dim_v * d ** n for n in degrees]
     leib_mats = [delta_matrix(alg, rep, n) for n in degrees]
     reps_out = {} if with_representatives else None
@@ -485,7 +585,6 @@ def cohomology_dimensions(
         reps_out["leibniz"] = _representatives(leib_dims, leib_mats)
     if ctx is None:
         return CohomologyReport(max_degree, leib_table, None, None, reps_out)
-    derived, ind = operator_complex_pair(alg, ctx, rep)
     op_mats = [delta_matrix(derived, ind, n) for n in degrees]
     op_table = _table_from_matrices(leib_dims, op_mats)
     cone_dims = [cone_space_dim(dim_v, d, n) for n in degrees]

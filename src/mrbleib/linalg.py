@@ -10,6 +10,13 @@ compiled ``_kernels_cy`` extension when it is importable, else the pure
 ``_kernels_py`` module.  Set ``MRBLEIB_PURE_PYTHON=1`` to force the pure
 backend.  Both produce identical output (the reduced echelon form is
 unique), so results never depend on which backend ran.
+
+``Matrix(data)`` is the constructor for input from outside the package: it
+coerces every entry with ``Fraction()`` and rejects ragged rows.  Matrices
+built inside the package (arithmetic, stacking, the named constructors,
+products, echelon forms and the assembled differentials) use the private
+``Matrix._trusted(rows)``, which stores rows whose entries are already
+``Fraction`` objects as they are, without coercion or shape checks.
 """
 
 from __future__ import annotations
@@ -88,22 +95,36 @@ class Matrix:
             raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _trusted(cls, rows) -> "Matrix":
+        """Wrap rows built inside the package; every entry is already a Fraction.
+
+        Nothing is coerced or checked, so outside input must use Matrix(data).
+        """
+        m = object.__new__(cls)
+        data = tuple(map(tuple, rows))
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", len(data[0]) if data else 0)
+        object.__setattr__(m, "_data", data)
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls._trusted([(ZERO,) * cols] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._trusted(
+            [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
+        )
 
     @classmethod
     def from_cols(cls, cols, rows: int | None = None) -> "Matrix":
-        cols = [tuple(c) for c in cols]
+        cols = list(cols)
         if not cols:
             if rows is None:
                 raise DimensionMismatch("from_cols with no columns needs a row count")
             return cls.zeros(rows, 0)
-        height = len(cols[0])
-        return cls([[col[i] for col in cols] for i in range(height)])
+        return cls._trusted(zip(*cols))
 
     @classmethod
     def diag_blocks(cls, *blocks: "Matrix") -> "Matrix":
@@ -116,7 +137,7 @@ class Matrix:
                 out[r0 + i][c0:c0 + b.cols] = list(b._data[i])
             r0 += b.rows
             c0 += b.cols
-        return cls(out)
+        return cls._trusted(out)
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
@@ -151,7 +172,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(
+        return Matrix._trusted(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
@@ -161,7 +182,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Matrix(
+        return Matrix._trusted(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
@@ -169,23 +190,21 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-e for e in row] for row in self._data])
+        return Matrix._trusted([[-e for e in row] for row in self._data])
 
     def scale(self, s) -> "Matrix":
         s = Fraction(s)
-        return Matrix([[s * e for e in row] for row in self._data])
+        return Matrix._trusted([[s * e for e in row] for row in self._data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Matrix(_kernels.matmul(self.to_lists(), other.to_lists()))
+        return Matrix._trusted(_kernels.matmul(self._data, other._data))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return Matrix._trusted(zip(*self._data))
 
     def apply(self, vec):
         """Image of a coordinate vector under the matrix."""
@@ -202,25 +221,25 @@ class Matrix:
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix(
-            [list(ra) + list(rb) for ra, rb in zip(self._data, other._data)]
+        return Matrix._trusted(
+            [ra + rb for ra, rb in zip(self._data, other._data)]
         )
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return Matrix(list(self._data) + list(other._data))
+        return Matrix._trusted(self._data + other._data)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    reduced, pivots = _kernels.rref(m.to_lists())
-    return Matrix(reduced), tuple(pivots)
+    reduced, pivots = _kernels.rref(m._data)
+    return Matrix._trusted(reduced), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals, computed exactly."""
-    return len(_kernels.rref(m.to_lists())[1])
+    return len(_kernels.rref(m._data)[1])
 
 
 def kernel_basis(m: Matrix):
@@ -229,7 +248,7 @@ def kernel_basis(m: Matrix):
     Vectors are emitted in increasing free-column order with the free
     coordinate normalized to 1, so the output is canonical.
     """
-    reduced, pivots = _kernels.rref(m.to_lists())
+    reduced, pivots = _kernels.rref(m._data)
     pivot_set = set(pivots)
     basis = []
     for c in range(m.cols):
@@ -253,13 +272,13 @@ def solve_with_free_zero(m: Matrix, rhs: Matrix) -> Matrix | None:
     if m.rows != rhs.rows:
         raise DimensionMismatch("solve shape mismatch")
     augmented = m.hstack(rhs)
-    reduced, pivots = _kernels.rref(augmented.to_lists())
+    reduced, pivots = _kernels.rref(augmented._data)
     if any(p >= m.cols for p in pivots):
         return None
     out = [[ZERO] * rhs.cols for _ in range(m.cols)]
     for k, pc in enumerate(pivots):
         out[pc] = reduced[k][m.cols:]
-    return Matrix(out)
+    return Matrix._trusted(out)
 
 
 def solve_right_inverse(m: Matrix) -> Matrix:
@@ -325,7 +344,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     v = b[k, l]
                     if v:
                         out[i * b.rows + k][j * b.cols + l] = s * v
-    return Matrix(out)
+    return Matrix._trusted(out)
 
 
 def vec_add(u, v):

@@ -8,7 +8,7 @@ that and re-assert it once in test_algebra.
 from fractions import Fraction as F
 
 from mrbleib.algebra import LeibnizAlgebra, OperatorContext
-from mrbleib.linalg import Matrix
+from mrbleib.linalg import Matrix, solve_right_inverse
 from mrbleib.representations import Representation, regular_rep
 
 # three-dimensional algebra with single product [e1,e1] = e3
@@ -43,6 +43,28 @@ TRIV1 = Representation(
     (Matrix.zeros(1, 1),) * 3,
     (Matrix.zeros(1, 1),) * 3,
     Matrix([[2]]),
+)
+
+
+def change_basis(alg, ctx, p):
+    """The same algebra and operator in the basis e'_i = sum_k p[k, i] e_k."""
+    inv = solve_right_inverse(p)
+    cols = [p.column(i) for i in range(alg.dim)]
+    entries = []
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            image = inv.apply(alg.bracket(cols[i], cols[j]))
+            entries.extend((i + 1, j + 1, k + 1, c) for k, c in enumerate(image) if c)
+    return LeibnizAlgebra(alg.dim, entries), OperatorContext(inv @ ctx.operator @ p, ctx.weight)
+
+
+# sl2 split as span(e, h) + span(f): K = +1 on the first part and -1 on the
+# second is modified Rota-Baxter of weight -1; a determinant-3 change of
+# basis makes the structure constants and the operator fractional
+SL2_ROT, SL2_ROT_K = change_basis(
+    SL2,
+    OperatorContext(Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]]), F(-1)),
+    Matrix([[1, 1, 0], [0, 2, 1], [1, 0, 1]]),
 )
 
 MRB_FIXTURES = [

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fixtures import AFF, G3, K0, ROT
+from fixtures import AFF, G3, K0, ROT, Z1
+from mrbleib.algebra import OperatorContext
 from mrbleib.cli import build_parser, execute, main
 from mrbleib.cohomology import cone_differential, vec_to_cone
 from mrbleib.deformation import FormalIso, TruncatedDeformation, apply_formal_iso
@@ -17,10 +18,12 @@ from mrbleib.documents import (
 from mrbleib.extensions import CocyclePair, extension_from_cocycle
 from mrbleib.cohomology import zero_cochain, apply_delta, apply_phi, Cochain
 from mrbleib.linalg import Matrix, kernel_basis
-from mrbleib.representations import regular_rep
+from mrbleib.representations import Representation, regular_rep
 
 G3_DOC = serialize_document(AlgebraDocument(G3, K0, None))
 G3_PLAIN = serialize_document(AlgebraDocument(G3, None, None))
+# [e1,e1] = e1 fails the Leibniz identity by -e1
+NOT_LEIBNIZ = """{"field":"rational","algebra":{"dim":1,"bracket":[[1,1,1,"1"]]}}"""
 AFF_DOC = serialize_document(AlgebraDocument(AFF, ROT, None))
 
 
@@ -216,3 +219,62 @@ def test_reports_are_byte_identical(tmp_path, capsys):
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mask", [
+    "entries: not json",
+    "[[1, 1, \"0\"]]",
+    '{"entries": [[1, 1]]}',
+    '{"entries": [[1, 1, "0", "1"]]}',
+    '{"entries": [[1, 1, 0]]}',
+    '{"entries": [["1", 1, "0"]]}',
+    '{"entries": 5}',
+])
+def test_malformed_mask_is_usage_error(tmp_path, capsys, mask):
+    doc = write(tmp_path, "g3.json", G3_DOC)
+    mask_path = write(tmp_path, "mask.json", mask)
+    code = main(["search", doc, "--weight", "1", "--grid", "0,1", "--mask", mask_path])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("mrbleib:")
+
+
+def test_missing_or_unreadable_input_is_usage_error(tmp_path, capsys):
+    for path in (str(tmp_path / "absent.json"), str(tmp_path)):
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("mrbleib:")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["check", str(binary)]) == 2
+    doc = write(tmp_path, "g3.json", G3_DOC)
+    code = main(["search", doc, "--weight", "1", "--grid", "0,1",
+                 "--mask", str(tmp_path / "absent-mask.json")])
+    assert code == 2
+
+
+def error_of(capsys, argv):
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    return code, report["sections"][0]["error"]
+
+
+def test_cohomology_of_a_non_leibniz_document_fails(tmp_path, capsys):
+    doc = write(tmp_path, "bad.json", NOT_LEIBNIZ)
+    assert error_of(capsys, ["cohomology", doc, "--max-degree", "2"]) == (1, "NotLeibniz")
+    # with an operator the operator complex's checks reject it first
+    payload = json.loads(NOT_LEIBNIZ)
+    payload["operator"] = {"weight": "0", "matrix": [["0"]]}
+    doc = write(tmp_path, "bad-op.json", json.dumps(payload))
+    assert error_of(capsys, ["cohomology", doc, "--max-degree", "2"]) == (1, "NotLeibniz")
+
+
+def test_cohomology_with_a_broken_module_fails(tmp_path, capsys):
+    one = Matrix.identity(1)
+    bad = Representation(1, (one,), (one,), Matrix.zeros(1, 1))
+    doc = write(tmp_path, "bad-rep.json", serialize_document(AlgebraDocument(Z1, None, bad)))
+    assert error_of(capsys, ["cohomology", doc]) == (1, "NotMRBRepresentation")
+    # the operator 0 of weight 0 passes, and so does this module's modified law
+    doc = write(tmp_path, "bad-rep-op.json", serialize_document(
+        AlgebraDocument(Z1, OperatorContext(Matrix.zeros(1, 1), F(0)), bad)))
+    assert error_of(capsys, ["cohomology", doc]) == (1, "NotMRBRepresentation")

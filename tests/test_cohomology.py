@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import reference
 from fixtures import (
     AFF,
     CHAIN_MAP_FIXTURES,
@@ -11,10 +12,12 @@ from fixtures import (
     KZ,
     MRB_FIXTURES,
     ROT,
+    SL2_ROT,
+    SL2_ROT_K,
     Z1,
     Z1_ZERO,
 )
-from mrbleib.algebra import OperatorContext
+from mrbleib.algebra import OperatorContext, leibniz_defect, mrb_defect
 from mrbleib.cohomology import (
     Cochain,
     ConeCochain,
@@ -321,3 +324,33 @@ def test_cone_matrix_matches_apply():
         vec = tuple(F(rng.randrange(-2, 3)) for _ in range(cone_space_dim(2, 2, n)))
         cone = vec_to_cone(vec, 2, 2, n)
         assert mat.apply(vec) == cone_to_vec(apply_cone(AFF, ROT, rep, cone))
+
+
+ASSEMBLY_CASES = MRB_FIXTURES + [
+    ("sl2-rotated", SL2_ROT, SL2_ROT_K, regular_rep(SL2_ROT, SL2_ROT_K)),
+]
+
+
+def test_rotated_sl2_case_is_fractional_and_valid():
+    assert any(c.denominator != 1 for _, c in SL2_ROT.entries)
+    assert leibniz_defect(SL2_ROT).is_empty
+    assert mrb_defect(SL2_ROT, SL2_ROT_K).is_empty
+
+
+@pytest.mark.parametrize("name, alg, ctx, rep", ASSEMBLY_CASES, ids=[c[0] for c in ASSEMBLY_CASES])
+def test_assembly_matches_basis_evaluation(name, alg, ctx, rep):
+    for n in range(5 if alg.dim <= 2 else 4):
+        assert delta_matrix(alg, rep, n) == reference.delta_matrix(alg, rep, n), n
+        assert partial_matrix(alg, ctx, rep, n) == reference.partial_matrix(alg, ctx, rep, n), n
+        assert phi_matrix(alg, ctx, rep, n) == reference.phi_matrix(alg, ctx, rep, n), n
+        cone = cone_differential(alg, ctx, rep, n)
+        assert cone == reference.cone_differential(alg, ctx, rep, n), n
+        assert all(type(e) is F for i in range(cone.rows) for e in cone.row(i)), n
+
+
+def test_g3_regular_degree_four_table():
+    report = cohomology_dimensions(G3, regular_rep(G3, K0), K0, max_degree=4)
+    assert report.leibniz.cohomology_dims == (2, 4, 8, 16, 32)
+    assert report.operator.cohomology_dims == (2, 4, 8, 16, 32)
+    assert report.cone.cohomology_dims == (0, 3, 3, 3, 15)
+    assert report.cone.differential_ranks == (3, 6, 27, 78, 231)

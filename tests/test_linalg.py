@@ -62,6 +62,31 @@ def test_matrix_shape_errors():
         Matrix.identity(2) @ Matrix.identity(3)
 
 
+def test_outside_input_is_coerced_and_checked():
+    m = Matrix([[1, "2/3"], [F(1, 2), -4]])
+    assert all(type(e) is F for i in range(m.rows) for e in m.row(i))
+    with pytest.raises(DimensionMismatch):
+        Matrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix([[1, "x"]])
+    with pytest.raises(TypeError):
+        Matrix([[1, object()]])
+
+
+def test_internal_results_hold_fractions():
+    m = Matrix([[1, 2], [3, 4]])
+    results = [
+        m + m, m - m, -m, m.scale(3), m @ m, m.transpose(), m.hstack(m), m.vstack(m),
+        Matrix.zeros(2, 3), Matrix.identity(2), Matrix.from_cols([m.column(1)]),
+        Matrix.diag_blocks(m, m), kron(m, m), rref(m)[0],
+        solve_with_free_zero(m, Matrix.identity(2)),
+    ]
+    for r in results:
+        assert all(type(e) is F for i in range(r.rows) for e in r.row(i)), r
+    assert m.transpose() == Matrix([[1, 3], [2, 4]])
+    assert m.hstack(m).cols == 4 and m.vstack(m).rows == 4
+
+
 def test_rref_canonical_form():
     reduced, pivots = rref(Matrix([[2, 4, 6], [1, 2, 4]]))
     assert pivots == (0, 2)
