@@ -1,16 +1,42 @@
-"""Pure-Python elimination and multiplication kernels over Fractions.
+"""Exact elimination and multiplication kernels.
 
-These are the hot loops behind rank/kernel/solve and matrix products.  A
-compiled twin (``_kernels_cy``) implements the same contract on integer
-rows; both must return bit-identical results, which is guaranteed because
-the reduced row echelon form of a rational matrix is unique regardless of
-pivoting strategy.
+``rref`` eliminates on integers.  Each row is scaled once by the lcm of its
+denominators, so the working matrix holds only ``int``s.  Clearing the entry
+``v`` of a row against the pivot ``piv`` uses the fraction-free step
+
+    row = (piv/g) * row - (v/g) * prow,    g = gcd(piv, v),
+
+whose subtraction runs only over the columns where the pivot row is
+nonzero.  The updated row is then divided by the gcd of its entries (its
+content) to keep coefficients small (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+Rows are only ever scaled by nonzero integers, so their spans never change,
+and the entries become ``Fraction``s once, when each reduced row is divided
+by its pivot at output.  The reduced row echelon form of a rational matrix
+is unique, so the result does not depend on the pivoting order.
+
+``matmul`` multiplies ``Fraction`` rows directly, skipping zero entries,
+which suits the sparse products of the cochain differentials.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _integer_row(row):
+    """The row times the lcm of its denominators, as ints.
+
+    Only nonzero entries are asked for their denominator: the differentials
+    are sparse, and each read of ``numerator`` or ``denominator`` is a
+    Python-level property call.
+    """
+    nums = [e.numerator for e in row]
+    den = lcm(*[row[c].denominator for c, p in enumerate(nums) if p])
+    if den == 1:
+        return nums
+    return [p * (den // row[c].denominator) if p else 0 for c, p in enumerate(nums)]
 
 
 def rref(rows):
@@ -19,47 +45,56 @@ def rref(rows):
     Returns ``(reduced_rows, pivot_cols)``.  Pivot rows come first in pivot
     order, zero rows last; every pivot entry is 1 and is the only nonzero
     entry in its column.  Pivot selection favors the smallest absolute
-    numerator to curb coefficient growth (the result does not depend on it).
+    value to curb coefficient growth (the result does not depend on it).
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    mat = [list(row) for row in rows]
+    mat = [_integer_row(row) for row in rows]
     pivots = []
     pr = 0
     for pc in range(n):
         best = -1
-        best_key = None
+        best_abs = 0
         for r in range(pr, m):
-            e = mat[r][pc]
-            if e:
-                key = abs(e.numerator)
-                if best < 0 or key < best_key:
-                    best, best_key = r, key
+            v = mat[r][pc]
+            if v and (best < 0 or abs(v) < best_abs):
+                best, best_abs = r, abs(v)
         if best < 0:
             continue
         if best != pr:
             mat[pr], mat[best] = mat[best], mat[pr]
         prow = mat[pr]
         piv = prow[pc]
-        if piv != _ONE:
-            inv = _ONE / piv
-            for c in range(pc, n):
-                if prow[c]:
-                    prow[c] *= inv
+        # rows pr.. are zero left of pc, so the pivot row is too
+        support = [(c, prow[c]) for c in range(pc, n) if prow[c]]
         for r in range(m):
             if r == pr:
                 continue
-            f = mat[r][pc]
-            if f:
-                row = mat[r]
-                for c in range(pc, n):
-                    if prow[c]:
-                        row[c] -= f * prow[c]
+            row = mat[r]
+            v = row[pc]
+            if not v:
+                continue
+            g = gcd(piv, v)
+            fa = piv // g
+            fb = v // g
+            if fa != 1:
+                row = [fa * x for x in row]
+            for c, p in support:
+                row[c] -= fb * p
+            content = gcd(*row)
+            if content > 1:
+                row = [x // content for x in row]
+            mat[r] = row
         pivots.append(pc)
         pr += 1
         if pr == m:
             break
-    return mat, pivots
+    out = []
+    for r, pc in enumerate(pivots):
+        piv = mat[r][pc]
+        out.append([Fraction(v, piv) if v else _ZERO for v in mat[r]])
+    out.extend([_ZERO] * n for _ in range(m - len(pivots)))
+    return out, pivots
 
 
 def matmul(a, b):

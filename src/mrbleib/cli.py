@@ -50,9 +50,9 @@ from .documents import (
 )
 from .errors import (
     BudgetExceeded,
+    InvalidArgument,
     MrbError,
     NotACocycle,
-    NotLeibniz,
     NotMRBRepresentation,
     ParseError,
     UnknownCommand,
@@ -72,7 +72,7 @@ from .representations import (
     rep_defect,
 )
 
-USAGE_ERRORS = (ParseError, BudgetExceeded, UnknownCommand)
+USAGE_ERRORS = (ParseError, BudgetExceeded, InvalidArgument, UnknownCommand)
 
 
 def _digest_text(text: str) -> str:
@@ -126,11 +126,9 @@ def cmd_check(doc: AlgebraDocument):
 
 def cmd_cohomology(doc: AlgebraDocument, max_degree: int, budget: int):
     rep = doc.effective_representation()
-    # with an operator, building the operator complex checks the algebra and
-    # the modified module law, but nothing checks the module axioms of a
-    # module given in the document
-    if doc.operator is None and not leibniz_defect(doc.algebra).is_empty:
-        raise NotLeibniz("bracket fails the Leibniz identity")
+    # cohomology_dimensions checks the algebra (and with an operator the
+    # modified module law), but not the module axioms of a module given in
+    # the document
     if doc.representation is not None and not rep_defect(doc.algebra, rep).is_empty:
         raise NotMRBRepresentation("module fails the Leibniz module axioms")
     if rep is None:
@@ -159,8 +157,9 @@ def cmd_derived(doc: AlgebraDocument):
     return [], document_json(out)
 
 
-def _parse_mask(text: str) -> dict:
-    """``{"entries": [[i, j, "value"], ...]}`` as a map (i, j) -> value."""
+def _parse_mask(text: str, dim: int) -> dict:
+    """``{"entries": [[i, j, "value"], ...]}`` as a map (i, j) -> value,
+    with 1 <= i, j <= dim."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -178,6 +177,8 @@ def _parse_mask(text: str) -> dict:
         ):
             raise ParseError(f"mask entry {item!r} is not [i, j, \"value\"]")
         i, j, c = item
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise ParseError(f"mask entry {item!r} is outside the dimension {dim}")
         mask[(i, j)] = parse_rational(c)
     return mask
 
@@ -187,7 +188,7 @@ def cmd_search(doc: AlgebraDocument, weight: str, grid: str, mask_text: str | No
     grid_vals = [parse_rational(g) for g in grid.split(",") if g.strip()]
     if not grid_vals:
         raise ParseError("empty grid")
-    mask = None if mask_text is None else _parse_mask(mask_text)
+    mask = None if mask_text is None else _parse_mask(mask_text, doc.algebra.dim)
     solutions = grid_search_operators(doc.algebra, w, grid_vals, mask, budget)
     result = {
         "weight": format_rational(w),

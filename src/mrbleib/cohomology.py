@@ -30,8 +30,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LeibnizAlgebra, OperatorContext, derived_algebra
-from .errors import BudgetExceeded, DimensionMismatch
+from .algebra import LeibnizAlgebra, OperatorContext, derived_algebra, leibniz_defect
+from .errors import BudgetExceeded, DimensionMismatch, InvalidArgument, NotAComplex, NotLeibniz
 from .linalg import Matrix, ZERO, ONE, flat_index, rank, kernel_basis, rref, solve_with_free_zero, unflatten, vec_add, vec_is_zero, vec_scale
 from .representations import Representation, induced_rep
 
@@ -520,7 +520,11 @@ def _table_from_matrices(dims, mats) -> ComplexTable:
     for n in range(len(dims)):
         prev = ranks[n - 1] if n else 0
         h = dims[n] - ranks[n] - prev
-        assert h >= 0
+        if h < 0:
+            raise NotAComplex(
+                f"degree-{n} differential ranks {prev} and {ranks[n]} exceed the "
+                f"cochain dimension {dims[n]}: the differentials do not square to zero"
+            )
         homs.append(h)
     return ComplexTable(tuple(dims), ranks, tuple(homs))
 
@@ -562,8 +566,12 @@ def cohomology_dimensions(
 
     With an operator context all three complexes are reported, otherwise
     only the Loday-Pirashvili one.  The budget caps the cell count of the
-    largest cochain space touched (degree max_degree + 1).
+    largest cochain space touched (degree max_degree + 1).  The algebra is
+    checked (NotLeibniz, and with an operator NotModifiedRotaBaxter, ...)
+    before any table is built; the module is not.
     """
+    if max_degree < 0:
+        raise InvalidArgument(f"max degree must be at least 0, got {max_degree}")
     d = alg.dim
     dim_v = rep.dim_v
     for n in range(max_degree + 2):
@@ -573,10 +581,12 @@ def cohomology_dimensions(
                 f"degree-{n} cochain space has {cells} cells, budget {budget}"
             )
     degrees = range(max_degree + 1)
+    # validate before any table is built from differentials that need not
+    # square to zero
     if ctx is not None:
-        # validates the structure (NotLeibniz, NotModifiedRotaBaxter, ...)
-        # before any table is built from differentials that need not square to 0
         derived, ind = operator_complex_pair(alg, ctx, rep)
+    elif not leibniz_defect(alg).is_empty:
+        raise NotLeibniz("bracket fails the Leibniz identity")
     leib_dims = [dim_v * d ** n for n in degrees]
     leib_mats = [delta_matrix(alg, rep, n) for n in degrees]
     reps_out = {} if with_representatives else None

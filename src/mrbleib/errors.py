@@ -33,6 +33,14 @@ class NotMRBRepresentation(MrbError):
     """The module data fails the modified Rota-Baxter representation axioms."""
 
 
+class NotAComplex(MrbError):
+    """Successive differentials of a cochain complex do not compose to zero."""
+
+
+class InvalidArgument(MrbError):
+    """A numeric argument lies outside its valid range."""
+
+
 class BudgetExceeded(MrbError):
     """An enumeration or cochain space would exceed the configured budget."""
 

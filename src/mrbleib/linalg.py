@@ -5,11 +5,13 @@ package is exact, nothing is ever rounded.  A linear map from a space of
 dimension ``a`` to one of dimension ``b`` is a ``b x a`` matrix whose
 column ``j`` is the image of the ``j``-th basis vector.
 
-Two interchangeable kernel backends drive elimination and products: the
-compiled ``_kernels_cy`` extension when it is importable, else the pure
-``_kernels_py`` module.  Set ``MRBLEIB_PURE_PYTHON=1`` to force the pure
-backend.  Both produce identical output (the reduced echelon form is
-unique), so results never depend on which backend ran.
+Elimination (rank, kernel, solve) runs in one kernel, ``_kernels_py.rref``.
+It scales each row by the lcm of its denominators, eliminates with the
+fraction-free integer step ``row = (piv/g)*row - (v/g)*prow`` over the pivot
+row's nonzero columns, divides every updated row by its content, and makes
+``Fraction``s only when it writes the reduced rows.  The reduced echelon
+form is unique, so results never depend on the pivoting order.  Products
+use the zero-skipping ``Fraction`` ``_kernels_py.matmul``.
 
 ``Matrix(data)`` is the constructor for input from outside the package: it
 coerces every entry with ``Fraction()`` and rejects ragged rows.  Matrices
@@ -21,27 +23,14 @@ products, echelon forms and the assembled differentials) use the private
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _kernels_py as _kernels
 from .errors import DimensionMismatch, NotSurjective, ParseError
-
-if os.environ.get("MRBLEIB_PURE_PYTHON"):
-    from . import _kernels_py as _kernels
-else:
-    try:
-        from . import _kernels_cy as _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _kernels
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def backend_name() -> str:
-    """Name of the active kernel backend ("cython" or "python")."""
-    return "cython" if _kernels.__name__.endswith("_kernels_cy") else "python"
 
 
 def parse_rational(text: str) -> Fraction:

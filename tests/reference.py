@@ -1,10 +1,14 @@
-"""Reference assembly of the differential matrices by basis evaluation.
+"""Reference implementations the package is checked against.
 
-Each matrix is built column by column: the cochain operation is evaluated
-on every basis cochain and the image is flattened into a column.  This is
-slow, but it only relies on ``apply_delta`` and ``apply_phi``, which
-evaluate the defining formulas directly, so it is the oracle the directly
-assembled matrices of ``mrbleib.cohomology`` are compared against.
+``fraction_rref`` is plain Gauss-Jordan elimination on ``Fraction`` entries,
+the oracle for the integer elimination kernel of ``mrbleib._kernels_py``.
+
+The differential matrices are assembled by basis evaluation: each matrix
+is built column by column, evaluating the cochain operation on every basis
+cochain and flattening the image into a column.  This is slow, but it
+only relies on ``apply_delta`` and ``apply_phi``, which evaluate the
+defining formulas directly, so it is the oracle the directly assembled
+matrices of ``mrbleib.cohomology`` are compared against.
 """
 
 from mrbleib.cohomology import (
@@ -15,6 +19,53 @@ from mrbleib.cohomology import (
     operator_complex_pair,
 )
 from mrbleib.linalg import ONE, ZERO, Matrix
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions.
+
+    Same contract as ``mrbleib._kernels_py.rref``: ``(reduced_rows,
+    pivot_cols)`` with pivot rows first in pivot order and zero rows last.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    mat = [list(row) for row in rows]
+    pivots = []
+    pr = 0
+    for pc in range(n):
+        best = -1
+        best_key = None
+        for r in range(pr, m):
+            e = mat[r][pc]
+            if e:
+                key = abs(e.numerator)
+                if best < 0 or key < best_key:
+                    best, best_key = r, key
+        if best < 0:
+            continue
+        if best != pr:
+            mat[pr], mat[best] = mat[best], mat[pr]
+        prow = mat[pr]
+        piv = prow[pc]
+        if piv != ONE:
+            inv = ONE / piv
+            for c in range(pc, n):
+                if prow[c]:
+                    prow[c] *= inv
+        for r in range(m):
+            if r == pr:
+                continue
+            f = mat[r][pc]
+            if f:
+                row = mat[r]
+                for c in range(pc, n):
+                    if prow[c]:
+                        row[c] -= f * prow[c]
+        pivots.append(pc)
+        pr += 1
+        if pr == m:
+            break
+    return mat, pivots
 
 
 def basis_cochains(dim_v, alg_dim, degree):

@@ -239,6 +239,23 @@ def test_malformed_mask_is_usage_error(tmp_path, capsys, mask):
     assert captured.out == "" and captured.err.startswith("mrbleib:")
 
 
+def test_negative_max_degree_is_usage_error(tmp_path, capsys):
+    doc = write(tmp_path, "g3.json", G3_DOC)
+    assert main(["cohomology", doc, "--max-degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max degree" in captured.err
+
+
+@pytest.mark.parametrize("entry", [[7, 1, "0"], [1, 4, "0"], [0, 1, "0"], [1, -1, "0"]])
+def test_mask_entry_outside_the_dimension_is_usage_error(tmp_path, capsys, entry):
+    doc = write(tmp_path, "g3.json", G3_DOC)
+    mask_path = write(tmp_path, "mask.json", json.dumps({"entries": [entry]}))
+    code = main(["search", doc, "--weight", "1", "--grid", "0,1", "--mask", mask_path])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(entry) in captured.err
+
+
 def test_missing_or_unreadable_input_is_usage_error(tmp_path, capsys):
     for path in (str(tmp_path / "absent.json"), str(tmp_path)):
         assert main(["check", path]) == 2

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,8 @@ from fixtures import (
     Z1,
     Z1_ZERO,
 )
-from mrbleib.algebra import OperatorContext, leibniz_defect, mrb_defect
+import mrbleib
+from mrbleib.algebra import LeibnizAlgebra, OperatorContext, leibniz_defect, mrb_defect
 from mrbleib.cohomology import (
     Cochain,
     ConeCochain,
@@ -42,9 +47,9 @@ from mrbleib.cohomology import (
     zero_cochain,
     zero_cone_cochain,
 )
-from mrbleib.errors import BudgetExceeded
+from mrbleib.errors import BudgetExceeded, InvalidArgument, NotAComplex, NotLeibniz
 from mrbleib.linalg import Matrix, kernel_basis, rank
-from mrbleib.representations import regular_rep
+from mrbleib.representations import Representation, regular_rep
 
 
 def test_delta0_on_g3():
@@ -354,3 +359,49 @@ def test_g3_regular_degree_four_table():
     assert report.operator.cohomology_dims == (2, 4, 8, 16, 32)
     assert report.cone.cohomology_dims == (0, 3, 3, 3, 15)
     assert report.cone.differential_ranks == (3, 6, 27, 78, 231)
+
+
+# [e1,e1] = e1 fails the Leibniz identity by -e1, in dim 1 and in dim 2
+NOT_LEIBNIZ = [LeibnizAlgebra(1, [(1, 1, 1, 1)]), LeibnizAlgebra(2, [(1, 1, 1, 1)])]
+
+
+@pytest.mark.parametrize("alg", NOT_LEIBNIZ, ids=["dim1", "dim2"])
+def test_library_rejects_a_non_leibniz_algebra(alg):
+    with pytest.raises(NotLeibniz):
+        cohomology_dimensions(alg, regular_rep(alg))
+
+
+def test_a_module_that_breaks_the_complex_is_an_explicit_error():
+    # rho_L = rho_R = id on Z1 fails the module axioms; ranks 1 + 1 > dim 1
+    one = Matrix.identity(1)
+    bad = Representation(1, (one,), (one,), Matrix.zeros(1, 1))
+    with pytest.raises(NotAComplex):
+        cohomology_dimensions(Z1, bad, max_degree=2)
+
+
+def test_validation_survives_optimized_python():
+    script = "\n".join([
+        "from mrbleib.algebra import LeibnizAlgebra",
+        "from mrbleib.cohomology import cohomology_dimensions",
+        "from mrbleib.errors import MrbError",
+        "from mrbleib.linalg import Matrix",
+        "from mrbleib.representations import Representation, regular_rep",
+        "alg = LeibnizAlgebra(2, [(1, 1, 1, 1)])",
+        "one = Matrix.identity(1)",
+        "bad = Representation(1, (one,), (one,), Matrix.zeros(1, 1))",
+        "for a, r in ((alg, regular_rep(alg)), (LeibnizAlgebra(1, []), bad)):",
+        "    try:",
+        "        print(cohomology_dimensions(a, r, max_degree=2))",
+        "    except MrbError as exc:",
+        "        print(type(exc).__name__)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(mrbleib.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["NotLeibniz", "NotAComplex"]
+
+
+def test_negative_max_degree_is_rejected():
+    with pytest.raises(InvalidArgument):
+        cohomology_dimensions(G3, regular_rep(G3), max_degree=-1)

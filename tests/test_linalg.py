@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,11 +20,7 @@ from mrbleib.linalg import (
     solve_with_free_zero,
     unflatten,
 )
-
-try:
-    from mrbleib import _kernels_cy
-except ImportError:
-    _kernels_cy = None
+from reference import fraction_rref
 
 
 def test_rank_examples():
@@ -136,28 +133,80 @@ def test_right_inverse_property(m):
             solve_right_inverse(m)
 
 
+# entries for the kernel checks: mostly zero or small, some with large
+# numerators and denominators
+kernel_entries = st.one_of(
+    st.just(F(0)),
+    small_fractions,
+    st.fractions(max_denominator=10 ** 12).map(lambda x: x * 10 ** 9),
+)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Zero, tall, wide, n x 0 and rank-deficient matrices (products)."""
+    rows = draw(st.integers(min_value=1, max_value=7))
+    cols = draw(st.integers(min_value=0, max_value=7))
+
+    def grid(r, c):
+        return draw(st.lists(st.lists(kernel_entries, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(min_value=1, max_value=3))
+        return Matrix(grid(rows, inner)) @ Matrix(grid(inner, cols))
+    return Matrix(grid(rows, cols))
+
+
+def linalg_results(m, rhs):
+    return rref(m), rank(m), kernel_basis(m), solve_with_free_zero(m, rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_matrices(), st.data())
+def test_kernel_matches_fraction_reference(m, data):
+    rhs = Matrix(data.draw(st.lists(
+        st.lists(kernel_entries, min_size=2, max_size=2), min_size=m.rows, max_size=m.rows)))
+    with patch.object(_kernels_py, "rref", fraction_rref):
+        expected = linalg_results(m, rhs)
+    assert linalg_results(m, rhs) == expected
+
+
+def test_kernel_on_empty_and_zero_matrices():
+    # a Matrix with no rows has no columns either, so 0 x n is checked on rows
+    assert _kernels_py.rref([]) == ([], [])
+    assert _kernels_py.rref([[], []]) == ([[], []], [])
+    zero = Matrix.zeros(2, 3)
+    assert rref(zero) == (zero, ()) and rank(zero) == 0
+    assert kernel_basis(zero) == [tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(matrices())
-def test_backends_agree(m):
-    if _kernels_cy is None:
-        pytest.skip("compiled kernel not built")
-    lists = m.to_lists()
-    red_py, piv_py = _kernels_py.rref([row[:] for row in lists])
-    red_cy, piv_cy = _kernels_cy.rref([row[:] for row in lists])
-    assert piv_py == piv_cy
-    assert red_py == red_cy
+@given(kernel_matrices())
+def test_rref_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    qq = sympy.QQ
+    dm = DomainMatrix([[qq(e.numerator, e.denominator) for e in m.row(i)]
+                       for i in range(m.rows)], (m.rows, m.cols), qq)
+    red, pivots = dm.rref()
+    rows = red.to_list()
+    expected = [[F(int(e.numerator), int(e.denominator)) for e in row] for row in rows]
+    reduced, ours = rref(m)
+    assert ours == tuple(pivots) and rank(m) == len(pivots)
+    assert reduced.to_lists() == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(matrices(max_dim=4), matrices(max_dim=4))
-def test_matmul_backends_agree(a, b):
-    if _kernels_cy is None:
-        pytest.skip("compiled kernel not built")
-    if a.cols != b.rows:
-        b = Matrix.zeros(a.cols, 2)
-    assert _kernels_py.matmul(a.to_lists(), b.to_lists()) == _kernels_cy.matmul(
-        a.to_lists(), b.to_lists()
-    )
+@settings(max_examples=60, deadline=None)
+@given(kernel_matrices(), st.data())
+def test_matmul_matches_triple_loop(a, data):
+    cols = data.draw(st.integers(min_value=0, max_value=5))
+    b = Matrix(data.draw(st.lists(
+        st.lists(kernel_entries, min_size=cols, max_size=cols), min_size=a.cols, max_size=a.cols)))
+    naive = [[sum((a[i, t] * b[t, j] for t in range(a.cols)), F(0)) for j in range(b.cols)]
+             for i in range(a.rows)]
+    assert (a @ b).to_lists() == naive
 
 
 def test_determinism_bit_identical():
