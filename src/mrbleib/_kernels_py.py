@@ -97,11 +97,11 @@ def rref(rows):
     return out, pivots
 
 
-def matmul(a, b):
-    """Product of two list-of-rows rational matrices, skipping zero entries."""
+def matmul(a, b, n):
+    """Product of two list-of-rows rational matrices, skipping zero entries;
+    ``b`` has ``n`` columns."""
     m = len(a)
-    inner = len(a[0]) if m else 0
-    n = len(b[0]) if b else 0
+    inner = len(b)
     out = [[_ZERO] * n for _ in range(m)]
     for i in range(m):
         arow = a[i]

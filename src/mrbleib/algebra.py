@@ -6,6 +6,17 @@ the bracket ``[e_i, e_j]`` contains ``c * e_k`` (indices 1-based).  Nothing
 is validated at construction time: loading a broken candidate and asking
 *which* identity fails where is a first-class use case, so every identity
 has a defect checker returning the full list of nonzero residuals.
+
+``mrb_defect`` never loops over basis pairs.  Each term of the modified
+identity is a structure constant times operator entries, so it walks the
+nonzero constants, pairs each with the nonzero operator entries it meets,
+and accumulates the products into a map from basis pair to sparse residual.
+Its cost follows those pairs, not dim**2 dense bracket evaluations.  The
+report lists the pairs in lexicographic order, each residual a dense
+coordinate tuple, and drops residuals that cancel to zero, exactly as an
+evaluation on every basis pair would (``tests/reference.py`` keeps that
+evaluation as the oracle).  ``leibniz_defect`` still evaluates every basis
+triple.
 """
 
 from __future__ import annotations
@@ -156,6 +167,23 @@ def _check_dims(alg: LeibnizAlgebra, ctx: OperatorContext):
         )
 
 
+def _dense(vec: dict, length: int) -> tuple[Fraction, ...]:
+    """A sparse residual ``{position: value}`` as a dense coordinate tuple."""
+    res = [ZERO] * length
+    for pos, v in vec.items():
+        res[pos] = v
+    return tuple(res)
+
+
+def _add_at(acc: dict, where, pos: int, v: Fraction):
+    """acc[where][pos] += v, creating the residual on first use."""
+    res = acc.get(where)
+    if res is None:
+        acc[where] = {pos: v}
+    else:
+        res[pos] = res[pos] + v if pos in res else v
+
+
 def leibniz_defect(alg: LeibnizAlgebra) -> DefectReport:
     """Residuals of [x,[y,z]] - [[x,y],z] - [y,[x,z]] on all basis triples."""
     d = alg.dim
@@ -176,20 +204,45 @@ def _basis(dim: int, i: int) -> tuple[Fraction, ...]:
 
 
 def mrb_defect(alg: LeibnizAlgebra, ctx: OperatorContext) -> DefectReport:
-    """Residuals of [Kx,Ky] - K([Kx,y] + [x,Ky]) - w[x,y] on basis pairs."""
+    """Residuals of [Kx,Ky] - K([Kx,y] + [x,Ky]) - w[x,y] on basis pairs.
+
+    Each constant ``[e_a,e_b] = .. + c e_t`` adds ``K[a,i] K[b,j] c`` to
+    [Ke_i,Ke_j] for the nonzeros of rows a and b of K, and to the middle
+    term ``[Ke_i,e_b] + [e_a,Ke_j]`` likewise; K is then applied to the
+    middle terms by its nonzero columns.  Entries come in lexicographic
+    (i,j) order.
+    """
     _check_dims(alg, ctx)
-    k, w = ctx.operator, ctx.weight
-    d = alg.dim
-    kcols = [k.column(j) for j in range(d)]
-    items = []
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            ki, kj = kcols[i - 1], kcols[j - 1]
-            lhs = alg.bracket(ki, kj)
-            mid = vec_add(alg.bracket(ki, _basis(d, j)), alg.bracket(_basis(d, i), kj))
-            res = vec_sub(vec_sub(lhs, k.apply(mid)), vec_scale(w, alg.bracket_basis(i, j)))
-            items.append(("mrb", (i, j), res))
-    return _collect(items)
+    w = ctx.weight
+    k_rows = {}
+    k_cols = {}
+    for r, col, v in ctx.operator.nonzeros():
+        k_rows.setdefault(r + 1, []).append((col + 1, v))
+        k_cols.setdefault(col, []).append((r, v))
+    acc = {}
+    mid = {}
+    for (a, b, t), c in alg.entries:
+        t -= 1
+        ka = k_rows.get(a, ())
+        kb = k_rows.get(b, ())
+        for i, u in ka:
+            uc = u * c
+            for j, v in kb:
+                _add_at(acc, (i, j), t, uc * v)
+            _add_at(mid, (i, b), t, uc)
+        for j, v in kb:
+            _add_at(mid, (a, j), t, v * c)
+        if w:
+            _add_at(acc, (a, b), t, -w * c)
+    for where, vec in mid.items():
+        for t, m in vec.items():
+            for r, v in k_cols.get(t, ()):
+                _add_at(acc, where, r, -v * m)
+    return DefectReport(tuple(
+        Defect("mrb", where, _dense(acc[where], alg.dim))
+        for where in sorted(acc)
+        if any(acc[where].values())
+    ))
 
 
 def rb_defect(alg: LeibnizAlgebra, ctx: OperatorContext) -> DefectReport:

@@ -39,6 +39,7 @@ from .deformation import (
 )
 from .documents import (
     AlgebraDocument,
+    _matrix_json,
     cocycle_json,
     deformation_json,
     document_json,
@@ -104,10 +105,6 @@ def _table_json(table):
         "differentialRanks": list(table.differential_ranks),
         "cohomologyDims": list(table.cohomology_dims),
     }
-
-
-def _matrix_json(m: Matrix):
-    return [[format_rational(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def cmd_check(doc: AlgebraDocument):

@@ -194,11 +194,6 @@ def apply_delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain
     return Cochain(n + 1, Matrix.from_cols(out, dim_v))
 
 
-def _nonzeros(m: Matrix):
-    """The nonzero entries (row, column, value) of a matrix, 0-based."""
-    return [(a, b, v) for a in range(m.rows) for b, v in enumerate(m.row(a)) if v]
-
-
 def _flat(indices, d: int) -> int:
     """Flat position of a 0-based multi-index (no range check)."""
     pos = 0
@@ -225,9 +220,9 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, n: int) -> Matrix:
     d = alg.dim
     dim_v = rep.dim_v
     cols = dim_v * d ** n
-    left = [_nonzeros(m) for m in rep.rho_left]
+    left = [m.nonzeros() for m in rep.rho_left]
     left_neg = [[(a, b, -v) for a, b, v in nz] for nz in left]
-    right = [_nonzeros(m) for m in rep.rho_right]
+    right = [m.nonzeros() for m in rep.rho_right]
     if n % 2 == 0:  # the sign (-1)^(n+1) of the rho_R term
         right = [[(a, b, -v) for a, b, v in nz] for nz in right]
     brackets = {}
@@ -259,7 +254,7 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, n: int) -> Matrix:
                     for b in range(dim_v):
                         _add(block[b], base + b, s)
         rows.extend(block)
-    return Matrix._trusted(rows)
+    return Matrix._trusted(rows, cols)
 
 
 def operator_complex_pair(
@@ -356,7 +351,7 @@ def phi_matrix(
     cols = dim_v * d ** n
     k = ctx.operator
     knz = [[(r, k[r, j]) for r in range(d) if k[r, j]] for j in range(d)]
-    kv = _nonzeros(rep.k_v)
+    kv = rep.k_v.nonzeros()
     subsets = []
     for mask in range(1 << n):
         r = bin(mask).count("1")
@@ -393,7 +388,7 @@ def phi_matrix(
                 for a, b, v in kv:
                     _add(block[a], pos * dim_v + b, c * v)
         rows.extend(block)
-    return Matrix._trusted(rows)
+    return Matrix._trusted(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -480,7 +475,8 @@ def cone_differential(
         ident = phi_matrix(alg, ctx, rep, 0)
         return Matrix._trusted(
             [top.row(i) for i in range(top.rows)]
-            + [_negated(ident.row(i)) for i in range(ident.rows)]
+            + [_negated(ident.row(i)) for i in range(ident.rows)],
+            top.cols,
         )
     derived, ind = operator_complex_pair(alg, ctx, rep)
     delta_n = delta_matrix(alg, rep, n)
@@ -492,7 +488,7 @@ def cone_differential(
         _negated(phi_n.row(i)) + _negated(partial_prev.row(i))
         for i in range(phi_n.rows)
     )
-    return Matrix._trusted(rows)
+    return Matrix._trusted(rows, delta_n.cols + partial_prev.cols)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ cone complex with regular coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     DefectReport,
     LeibnizAlgebra,
     OperatorContext,
+    _basis,
     _collect,
 )
 from .cohomology import (
@@ -112,10 +112,6 @@ def _ev2(c: Cochain, d: int, u, v):
                 if e:
                     out[t] += s * e
     return tuple(out)
-
-
-def _basis(d: int, i: int):
-    return tuple(Fraction(1) if t == i - 1 else ZERO for t in range(d))
 
 
 def deformation_residuals(dfm: TruncatedDeformation) -> tuple[DefectReport, ...]:

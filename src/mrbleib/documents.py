@@ -44,6 +44,16 @@ def _require(cond: bool, message: str):
         raise ParseError(message)
 
 
+def _is_count(x) -> bool:
+    """A JSON integer >= 0; ``true`` and ``false`` are not counts."""
+    return type(x) is int and x >= 0
+
+
+def _is_index(x, bound: int) -> bool:
+    """A JSON integer in 1..bound; ``true`` is not the index 1."""
+    return type(x) is int and 1 <= x <= bound
+
+
 def _load_json(text: str):
     try:
         return json.loads(text)
@@ -75,7 +85,7 @@ def _parse_bracket(entries, dim: int, what: str = "bracket"):
         )
         i, j, k, c = item
         for idx in (i, j, k):
-            if not (isinstance(idx, int) and 1 <= idx <= dim):
+            if not _is_index(idx, dim):
                 raise IndexOutOfRange(f"{what}: index {idx} outside 1..{dim}")
         if (i, j, k) in seen:
             raise DuplicateKey(f"{what}: duplicate key {(i, j, k)}")
@@ -92,7 +102,7 @@ def parse_document(text: str) -> AlgebraDocument:
     alg_obj = data.get("algebra")
     _require(isinstance(alg_obj, dict), "missing algebra object")
     dim = alg_obj.get("dim")
-    _require(isinstance(dim, int) and dim >= 0, "algebra.dim must be a count")
+    _require(_is_count(dim), "algebra.dim must be a count")
     bracket = _parse_bracket(alg_obj.get("bracket", []), dim)
     algebra = LeibnizAlgebra(dim, bracket)
     operator = None
@@ -107,7 +117,7 @@ def parse_document(text: str) -> AlgebraDocument:
         rep_obj = data["representation"]
         _require(isinstance(rep_obj, dict), "representation must be an object")
         dim_v = rep_obj.get("dimV")
-        _require(isinstance(dim_v, int) and dim_v >= 0, "representation.dimV must be a count")
+        _require(_is_count(dim_v), "representation.dimV must be a count")
         for key in ("rhoL", "rhoR"):
             _require(
                 isinstance(rep_obj.get(key), list) and len(rep_obj[key]) == dim,
@@ -181,7 +191,7 @@ def parse_deformation(text: str, base: AlgebraDocument) -> TruncatedDeformation:
     _require(base.operator is not None, "deformation base document needs an operator")
     _check_digest(data, base, "deformation")
     order = data.get("order")
-    _require(isinstance(order, int) and order >= 0, "order must be a count")
+    _require(_is_count(order), "order must be a count")
     mu_blocks = data.get("mu", [])
     kk_blocks = data.get("kk", [])
     _require(
@@ -246,7 +256,7 @@ def parse_cocycle(text: str, base: AlgebraDocument) -> CocyclePair:
         _require(isinstance(item, list) and len(item) == 4, "psi entries are [i, j, a, c]")
         i, j, a, c = item
         for idx, bound in ((i, d), (j, d), (a, m)):
-            if not (isinstance(idx, int) and 1 <= idx <= bound):
+            if not _is_index(idx, bound):
                 raise IndexOutOfRange(f"psi index {idx} outside 1..{bound}")
         if (i, j, a) in seen:
             raise DuplicateKey(f"psi duplicate key {(i, j, a)}")
@@ -258,7 +268,7 @@ def parse_cocycle(text: str, base: AlgebraDocument) -> CocyclePair:
         _require(isinstance(item, list) and len(item) == 3, "chi entries are [i, a, c]")
         i, a, c = item
         for idx, bound in ((i, d), (a, m)):
-            if not (isinstance(idx, int) and 1 <= idx <= bound):
+            if not _is_index(idx, bound):
                 raise IndexOutOfRange(f"chi index {idx} outside 1..{bound}")
         if (i, a) in seen:
             raise DuplicateKey(f"chi duplicate key {(i, a)}")

@@ -17,8 +17,10 @@ use the zero-skipping ``Fraction`` ``_kernels_py.matmul``.
 coerces every entry with ``Fraction()`` and rejects ragged rows.  Matrices
 built inside the package (arithmetic, stacking, the named constructors,
 products, echelon forms and the assembled differentials) use the private
-``Matrix._trusted(rows)``, which stores rows whose entries are already
-``Fraction`` objects as they are, without coercion or shape checks.
+``Matrix._trusted(rows, cols)``, which stores rows whose entries are
+already ``Fraction`` objects as they are, without coercion or shape checks.
+The column count is passed, not read from the first row, so a matrix with
+no rows keeps its columns.
 """
 
 from __future__ import annotations
@@ -84,26 +86,27 @@ class Matrix:
             raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _trusted(cls, rows) -> "Matrix":
-        """Wrap rows built inside the package; every entry is already a Fraction.
+    def _trusted(cls, rows, cols: int) -> "Matrix":
+        """Wrap rows of length ``cols`` built inside the package; every entry
+        is already a Fraction.
 
         Nothing is coerced or checked, so outside input must use Matrix(data).
         """
         m = object.__new__(cls)
         data = tuple(map(tuple, rows))
         object.__setattr__(m, "rows", len(data))
-        object.__setattr__(m, "cols", len(data[0]) if data else 0)
+        object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "_data", data)
         return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._trusted([(ZERO,) * cols] * rows)
+        return cls._trusted([(ZERO,) * cols] * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls._trusted(
-            [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)]
+            [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)], n
         )
 
     @classmethod
@@ -113,7 +116,7 @@ class Matrix:
             if rows is None:
                 raise DimensionMismatch("from_cols with no columns needs a row count")
             return cls.zeros(rows, 0)
-        return cls._trusted(zip(*cols))
+        return cls._trusted(zip(*cols), len(cols))
 
     @classmethod
     def diag_blocks(cls, *blocks: "Matrix") -> "Matrix":
@@ -126,7 +129,7 @@ class Matrix:
                 out[r0 + i][c0:c0 + b.cols] = list(b._data[i])
             r0 += b.rows
             c0 += b.cols
-        return cls._trusted(out)
+        return cls._trusted(out, cols)
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
@@ -137,6 +140,12 @@ class Matrix:
 
     def column(self, j: int):
         return tuple(row[j] for row in self._data)
+
+    def nonzeros(self):
+        """The nonzero entries as (row, column, value), 0-based, row-major."""
+        return [
+            (a, b, v) for a, row in enumerate(self._data) for b, v in enumerate(row) if v
+        ]
 
     def to_lists(self):
         return [list(row) for row in self._data]
@@ -165,7 +174,8 @@ class Matrix:
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
-            ]
+            ],
+            self.cols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -175,25 +185,30 @@ class Matrix:
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
-            ]
+            ],
+            self.cols,
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted([[-e for e in row] for row in self._data])
+        return Matrix._trusted([[-e for e in row] for row in self._data], self.cols)
 
     def scale(self, s) -> "Matrix":
         s = Fraction(s)
-        return Matrix._trusted([[s * e for e in row] for row in self._data])
+        return Matrix._trusted([[s * e for e in row] for row in self._data], self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Matrix._trusted(_kernels.matmul(self._data, other._data))
+        return Matrix._trusted(
+            _kernels.matmul(self._data, other._data, other.cols), other.cols
+        )
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(zip(*self._data))
+        if not self.rows:
+            return Matrix.zeros(self.cols, 0)
+        return Matrix._trusted(zip(*self._data), self.rows)
 
     def apply(self, vec):
         """Image of a coordinate vector under the matrix."""
@@ -211,19 +226,20 @@ class Matrix:
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
         return Matrix._trusted(
-            [ra + rb for ra, rb in zip(self._data, other._data)]
+            [ra + rb for ra, rb in zip(self._data, other._data)],
+            self.cols + other.cols,
         )
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return Matrix._trusted(self._data + other._data)
+        return Matrix._trusted(self._data + other._data, self.cols)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
     reduced, pivots = _kernels.rref(m._data)
-    return Matrix._trusted(reduced), tuple(pivots)
+    return Matrix._trusted(reduced, m.cols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -267,7 +283,7 @@ def solve_with_free_zero(m: Matrix, rhs: Matrix) -> Matrix | None:
     out = [[ZERO] * rhs.cols for _ in range(m.cols)]
     for k, pc in enumerate(pivots):
         out[pc] = reduced[k][m.cols:]
-    return Matrix._trusted(out)
+    return Matrix._trusted(out, rhs.cols)
 
 
 def solve_right_inverse(m: Matrix) -> Matrix:
@@ -333,7 +349,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     v = b[k, l]
                     if v:
                         out[i * b.rows + k][j * b.cols + l] = s * v
-    return Matrix._trusted(out)
+    return Matrix._trusted(out, a.cols * b.cols)
 
 
 def vec_add(u, v):

@@ -11,6 +11,12 @@ different weighted compatibility laws appear for the module operator:
 
 Conflating the two is the classic implementation bug, so each law has its
 own checker and the tests pin an instance on which they disagree.
+
+``rep_defect`` holds every action matrix by its nonzeros and forms the
+products of each pair of basis vectors from them, so its cost follows the
+nonzero actions rather than dense dim_v x dim_v products.  Its report lists
+the pairs (i, j) in lexicographic order and, for each pair, the sections
+left-left, left-right, right-right and right-absorb.
 """
 
 from __future__ import annotations
@@ -18,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    Defect,
     DefectReport,
     LeibnizAlgebra,
     OperatorContext,
     _collect,
+    _dense,
     leibniz_defect,
     mrb_defect,
     rb_defect,
@@ -54,13 +62,6 @@ class Representation:
             if m.rows != self.dim_v or m.cols != self.dim_v:
                 raise DimensionMismatch("action matrices must be dim_v x dim_v")
 
-    def left_of(self, alg: LeibnizAlgebra, vec) -> Matrix:
-        """rho_left extended linearly to a coordinate vector of the algebra."""
-        return _combine(self.rho_left, vec, self.dim_v)
-
-    def right_of(self, alg: LeibnizAlgebra, vec) -> Matrix:
-        return _combine(self.rho_right, vec, self.dim_v)
-
 
 def _combine(mats, vec, dim_v: int) -> Matrix:
     out = Matrix.zeros(dim_v, dim_v)
@@ -82,30 +83,79 @@ def _matrix_defects(section, where, m: Matrix):
     return (section, where, tuple(e for row in range(m.rows) for e in m.row(row)))
 
 
+def _rows_of(nz):
+    """Nonzeros (row, column, value) grouped by row: row -> [(column, value)]."""
+    rows = {}
+    for r, c, v in nz:
+        rows.setdefault(r, []).append((c, v))
+    return rows
+
+
+def _scaled_into(acc: dict, nz, c, n: int):
+    """acc += c * M, with M given by its nonzeros and acc keyed as below."""
+    for r, col, v in nz:
+        pos = r * n + col
+        acc[pos] = acc[pos] + c * v if pos in acc else c * v
+
+
+def _product_into(acc: dict, a_nz, b_rows: dict, n: int, negate: bool = False):
+    """acc += A @ B (or -= when ``negate``), with A given by its nonzeros,
+    B by its rows of nonzeros, and acc keyed by the flat row-major position
+    in an n x n matrix."""
+    for r, m, x in a_nz:
+        for c, y in b_rows.get(m, ()):
+            p = -x * y if negate else x * y
+            pos = r * n + c
+            acc[pos] = acc[pos] + p if pos in acc else p
+
+
 def rep_defect(alg: LeibnizAlgebra, rep: Representation) -> DefectReport:
     """Residuals of the three Leibniz module axioms on all basis pairs.
 
     Sections: "left-left", "left-right", "right-right", plus the derived
     diagnostic "right-absorb" (rhoR(y)(rhoL(x) + rhoR(x)) = 0), which is the
     difference of the last two axioms and pinpoints which pair fails.
+
+    Every rho_L(i) and rho_R(i) is held by its nonzeros, so the products of
+    each pair and the bracket terms cost what their nonzeros cost.  Entries
+    come pair by pair in lexicographic (i, j) order, the four sections in
+    the order above for each pair; each residual is the row-major flattening
+    of a dim_v x dim_v matrix.
     """
     _shape_check(alg, rep)
-    d = alg.dim
-    items = []
-    for i in range(1, d + 1):
-        li = rep.rho_left[i - 1]
-        ri = rep.rho_right[i - 1]
-        for j in range(1, d + 1):
-            lj = rep.rho_left[j - 1]
-            rj = rep.rho_right[j - 1]
-            bracket = alg.bracket_basis(i, j)
-            lb = _combine(rep.rho_left, bracket, rep.dim_v)
-            rb = _combine(rep.rho_right, bracket, rep.dim_v)
-            items.append(_matrix_defects("left-left", (i, j), lb - (li @ lj - lj @ li)))
-            items.append(_matrix_defects("left-right", (i, j), rb - (li @ rj - rj @ li)))
-            items.append(_matrix_defects("right-right", (i, j), rb - (li @ rj + rj @ ri)))
-            items.append(_matrix_defects("right-absorb", (i, j), rj @ (li + ri)))
-    return _collect(items)
+    d, n = alg.dim, rep.dim_v
+    left = [m.nonzeros() for m in rep.rho_left]
+    right = [m.nonzeros() for m in rep.rho_right]
+    left_rows = [_rows_of(nz) for nz in left]
+    right_rows = [_rows_of(nz) for nz in right]
+    brackets = {}
+    for (i, j, t), c in alg.entries:
+        brackets.setdefault((i - 1, j - 1), []).append((t - 1, c))
+    entries = []
+    for i in range(d):
+        for j in range(d):
+            ll = {}
+            rb = {}
+            for t, c in brackets.get((i, j), ()):
+                _scaled_into(ll, left[t], c, n)
+                _scaled_into(rb, right[t], c, n)
+            _product_into(ll, left[i], left_rows[j], n, negate=True)
+            _product_into(ll, left[j], left_rows[i], n)
+            lr = dict(rb)
+            _product_into(lr, left[i], right_rows[j], n, negate=True)
+            _product_into(lr, right[j], left_rows[i], n)
+            rr = dict(rb)
+            _product_into(rr, left[i], right_rows[j], n, negate=True)
+            _product_into(rr, right[j], right_rows[i], n, negate=True)
+            ra = {}
+            _product_into(ra, right[j], left_rows[i], n)
+            _product_into(ra, right[j], right_rows[i], n)
+            for section, acc in (
+                ("left-left", ll), ("left-right", lr), ("right-right", rr), ("right-absorb", ra)
+            ):
+                if any(acc.values()):
+                    entries.append(Defect(section, (i + 1, j + 1), _dense(acc, n * n)))
+    return DefectReport(tuple(entries))
 
 
 def mrb_rep_defect(

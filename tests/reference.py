@@ -3,6 +3,10 @@
 ``fraction_rref`` is plain Gauss-Jordan elimination on ``Fraction`` entries,
 the oracle for the integer elimination kernel of ``mrbleib._kernels_py``.
 
+``mrb_defect`` and ``rep_defect`` evaluate each axiom on every basis pair
+with dense vectors and matrices, the oracle for the sparse checkers of
+``mrbleib.algebra`` and ``mrbleib.representations``.
+
 The differential matrices are assembled by basis evaluation: each matrix
 is built column by column, evaluating the cochain operation on every basis
 cochain and flattening the image into a column.  This is slow, but it
@@ -11,6 +15,7 @@ defining formulas directly, so it is the oracle the directly assembled
 matrices of ``mrbleib.cohomology`` are compared against.
 """
 
+from mrbleib.algebra import DefectReport, _basis, _check_dims, _collect
 from mrbleib.cohomology import (
     Cochain,
     apply_delta,
@@ -18,7 +23,8 @@ from mrbleib.cohomology import (
     cochain_to_vec,
     operator_complex_pair,
 )
-from mrbleib.linalg import ONE, ZERO, Matrix
+from mrbleib.linalg import ONE, ZERO, Matrix, vec_add, vec_scale, vec_sub
+from mrbleib.representations import _combine, _matrix_defects, _shape_check
 
 
 def fraction_rref(rows):
@@ -109,3 +115,43 @@ def cone_differential(alg, ctx, rep, n):
     top = top.hstack(Matrix.zeros(top.rows, partial_prev.cols))
     bottom = (-phi_matrix(alg, ctx, rep, n)).hstack(-partial_prev)
     return top.vstack(bottom)
+
+
+def mrb_defect(alg, ctx) -> DefectReport:
+    """Residuals of [Kx,Ky] - K([Kx,y] + [x,Ky]) - w[x,y] on all basis pairs."""
+    _check_dims(alg, ctx)
+    k, w = ctx.operator, ctx.weight
+    d = alg.dim
+    kcols = [k.column(j) for j in range(d)]
+    items = []
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            ki, kj = kcols[i - 1], kcols[j - 1]
+            lhs = alg.bracket(ki, kj)
+            mid = vec_add(alg.bracket(ki, _basis(d, j)), alg.bracket(_basis(d, i), kj))
+            res = vec_sub(vec_sub(lhs, k.apply(mid)), vec_scale(w, alg.bracket_basis(i, j)))
+            items.append(("mrb", (i, j), res))
+    return _collect(items)
+
+
+def rep_defect(alg, rep) -> DefectReport:
+    """Residuals of the Leibniz module axioms on all basis pairs, by dense
+    matrix products, in the sections left-left, left-right, right-right and
+    right-absorb for each pair."""
+    _shape_check(alg, rep)
+    d = alg.dim
+    items = []
+    for i in range(1, d + 1):
+        li = rep.rho_left[i - 1]
+        ri = rep.rho_right[i - 1]
+        for j in range(1, d + 1):
+            lj = rep.rho_left[j - 1]
+            rj = rep.rho_right[j - 1]
+            bracket = alg.bracket_basis(i, j)
+            lb = _combine(rep.rho_left, bracket, rep.dim_v)
+            rb = _combine(rep.rho_right, bracket, rep.dim_v)
+            items.append(_matrix_defects("left-left", (i, j), lb - (li @ lj - lj @ li)))
+            items.append(_matrix_defects("left-right", (i, j), rb - (li @ rj - rj @ li)))
+            items.append(_matrix_defects("right-right", (i, j), rb - (li @ rj + rj @ ri)))
+            items.append(_matrix_defects("right-absorb", (i, j), rj @ (li + ri)))
+    return _collect(items)

@@ -295,3 +295,31 @@ def test_cohomology_with_a_broken_module_fails(tmp_path, capsys):
     doc = write(tmp_path, "bad-rep-op.json", serialize_document(
         AlgebraDocument(Z1, OperatorContext(Matrix.zeros(1, 1), F(0)), bad)))
     assert error_of(capsys, ["cohomology", doc]) == (1, "NotMRBRepresentation")
+
+
+def _with_true(tmp_path, where):
+    """A document (and CLI arguments) with JSON ``true`` at ``where``."""
+    if where == "dim":
+        text = '{"field":"rational","algebra":{"dim":true,"bracket":[[1,1,1,"1"]]}}'
+        return ["check", write(tmp_path, "doc.json", text)]
+    if where == "bracket index":
+        text = '{"field":"rational","algebra":{"dim":1,"bracket":[[true,1,1,"1"]]}}'
+        return ["check", write(tmp_path, "doc.json", text)]
+    if where == "dimV":
+        zero = Matrix.zeros(1, 1)
+        payload = json.loads(serialize_document(
+            AlgebraDocument(Z1, None, Representation(1, (zero,), (zero,), zero))))
+        payload["representation"]["dimV"] = True
+        return ["check", write(tmp_path, "doc.json", json.dumps(payload))]
+    doc = write(tmp_path, "aff.json", serialize_document(AlgebraDocument(AFF, ROT, None)))
+    payload = deformation_json(TruncatedDeformation.trivial(AFF, ROT, 1))
+    payload["order"] = True
+    return ["deform", "verify", doc, "--deformation",
+            write(tmp_path, "def.json", json.dumps(payload))]
+
+
+@pytest.mark.parametrize("where", ["dim", "bracket index", "dimV", "order"])
+def test_json_true_is_not_a_count_or_an_index(tmp_path, capsys, where):
+    assert main(_with_true(tmp_path, where)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("mrbleib:")

@@ -173,12 +173,40 @@ def test_kernel_matches_fraction_reference(m, data):
 
 
 def test_kernel_on_empty_and_zero_matrices():
-    # a Matrix with no rows has no columns either, so 0 x n is checked on rows
     assert _kernels_py.rref([]) == ([], [])
     assert _kernels_py.rref([[], []]) == ([[], []], [])
     zero = Matrix.zeros(2, 3)
     assert rref(zero) == (zero, ()) and rank(zero) == 0
     assert kernel_basis(zero) == [tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
+
+
+def test_matrix_with_no_rows_keeps_its_columns():
+    empty = Matrix.zeros(0, 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert kernel_basis(empty) == [tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
+    assert rank(empty) == 0 and rref(empty) == (empty, ())
+    product = Matrix.zeros(2, 0) @ empty
+    assert (product.rows, product.cols) == (2, 3) and product == Matrix.zeros(2, 3)
+    assert (empty.transpose().rows, empty.transpose().cols) == (3, 0)
+    assert (Matrix.zeros(3, 0).transpose().rows, Matrix.zeros(3, 0).transpose().cols) == (0, 3)
+    stacked = empty.vstack(Matrix.zeros(0, 3))
+    assert (stacked.rows, stacked.cols) == (0, 3)
+    wide = empty.hstack(Matrix.zeros(0, 2))
+    assert (wide.rows, wide.cols) == (0, 5)
+    cols = Matrix.from_cols([(), ()], 0)
+    assert (cols.rows, cols.cols) == (0, 2)
+    x = solve_with_free_zero(empty, Matrix.zeros(0, 2))
+    assert x == Matrix.zeros(3, 2)
+    for m in (empty + empty, empty - empty, -empty, empty.scale(2)):
+        assert (m.rows, m.cols) == (0, 3)
+    m = kron(empty, Matrix.identity(2))
+    assert (m.rows, m.cols) == (0, 6)
+
+
+def test_nonzeros_lists_entries_row_major():
+    m = Matrix([[0, F(1, 2)], [3, 0], [0, 0]])
+    assert m.nonzeros() == [(0, 1, F(1, 2)), (1, 0, F(3))]
+    assert Matrix.zeros(0, 3).nonzeros() == []
 
 
 @settings(max_examples=60, deadline=None)
