@@ -39,6 +39,7 @@ from .deformation import (
 )
 from .documents import (
     AlgebraDocument,
+    _cochain_json,
     _matrix_json,
     cocycle_json,
     deformation_json,
@@ -196,17 +197,6 @@ def cmd_search(doc: AlgebraDocument, weight: str, grid: str, mask_text: str | No
     return [], result
 
 
-def _mu_entries_json(cochain: Cochain, d: int):
-    out = []
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            col = cochain.values.column((i - 1) * d + (j - 1))
-            for k, v in enumerate(col):
-                if v:
-                    out.append([i, j, k + 1, format_rational(v)])
-    return out
-
-
 def cmd_deform(doc: AlgebraDocument, sub: str, deformation_text: str):
     dfm = parse_deformation(deformation_text, doc)
     if sub == "verify":
@@ -218,7 +208,7 @@ def cmd_deform(doc: AlgebraDocument, sub: str, deformation_text: str):
         rep = regular_rep(dfm.algebra, dfm.ctx)
         cls = classify_cochain(dfm.algebra, dfm.ctx, rep, cone)
         result = {
-            "mu1": _mu_entries_json(cone.leib, dfm.algebra.dim),
+            "mu1": _cochain_json(cone.leib),
             "k1": _matrix_json(cone.op.values),
             "cocycle": cls.cocycle,
             "coboundary": cls.coboundary,

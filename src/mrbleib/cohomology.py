@@ -19,9 +19,15 @@ multi-index y: delta adds the nonzero entries of rho_L(y_i), rho_R(y_{n+1})
 and the structure constants at the columns each term of its formula reads,
 phi adds the nonzero entries of K on the unselected slots of every slot
 subset (with K_V on odd subsets), and the cone writes its block rows in one
-pass.  ``apply_delta`` and ``apply_phi`` evaluate the same formulas on a
-single cochain; the tests check that the assembled matrices agree with
-them on every basis cochain.
+pass.  Each formula is written once, in its assembly: ``apply_delta``,
+``apply_phi`` and ``apply_cone`` apply the assembled matrices to the
+flattened cochain.  The tests compare the assembly with an independent
+per-cochain evaluation of the formulas (``tests/reference.py``) on every
+basis cochain.
+
+Sparse entries ((i_1..i_n), a, value), 1-based, are the document format of
+a cochain: ``cochain_from_entries`` reads them and ``cochain_entries``
+lists them, so no other module computes flat positions.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from fractions import Fraction
 
 from .algebra import LeibnizAlgebra, OperatorContext, derived_algebra, leibniz_defect
 from .errors import BudgetExceeded, DimensionMismatch, InvalidArgument, NotAComplex, NotLeibniz
-from .linalg import Matrix, ZERO, ONE, flat_index, rank, kernel_basis, rref, solve_with_free_zero, unflatten, vec_add, vec_is_zero, vec_scale
+from .linalg import Matrix, ZERO, ONE, flat_index, rank, kernel_basis, solve_with_free_zero, unflatten
 from .representations import Representation, induced_rep
 
 # Weight convention for the comparison map Phi, degree n >= 1:
@@ -105,11 +111,30 @@ def zero_cochain(dim_v: int, alg_dim: int, degree: int) -> Cochain:
 
 
 def cochain_from_entries(dim_v: int, alg_dim: int, degree: int, entries) -> Cochain:
-    """Build a cochain from sparse entries ((i_1..i_n), v, coeff), 1-based."""
-    grid = [[ZERO] * (alg_dim ** degree) for _ in range(dim_v)]
-    for indices, v, c in entries:
-        grid[v - 1][flat_index(indices, alg_dim)] += Fraction(c)
-    return Cochain(degree, Matrix(grid))
+    """Build a cochain from sparse entries ((i_1..i_n), a, value), 1-based;
+    the values of a repeated key add up."""
+    cols = alg_dim ** degree
+    grid = [[ZERO] * cols for _ in range(dim_v)]
+    for indices, a, c in entries:
+        if not 1 <= a <= dim_v:
+            raise DimensionMismatch(f"fiber index {a} out of range 1..{dim_v}")
+        grid[a - 1][flat_index(indices, alg_dim)] += Fraction(c)
+    return Cochain(degree, Matrix._trusted(grid, cols))
+
+
+def cochain_entries(c: Cochain):
+    """The nonzero entries of c as ((i_1..i_n), a, value), 1-based, in flat
+    column order and then fiber row; the inverse of ``cochain_from_entries``."""
+    vals, n = c.values, c.degree
+    d = round(vals.cols ** (1 / n)) if n else 1
+    if d ** n != vals.cols:
+        raise DimensionMismatch(f"{vals.cols} columns are no degree-{n} cochain")
+    for m in range(vals.cols):
+        indices = unflatten(m, n, d)
+        for a in range(vals.rows):
+            v = vals[a, m]
+            if v:
+                yield indices, a + 1, v
 
 
 def bracket_cochain(alg: LeibnizAlgebra) -> Cochain:
@@ -133,65 +158,21 @@ def cochain_to_vec(c: Cochain) -> tuple[Fraction, ...]:
 
 
 def vec_to_cochain(vec, dim_v: int, alg_dim: int, degree: int) -> Cochain:
-    vec = list(vec)
+    """Inverse of ``cochain_to_vec``."""
+    vec = [Fraction(e) for e in vec]
     cols = alg_dim ** degree
     if len(vec) != dim_v * cols:
         raise DimensionMismatch("vector length does not match cochain space")
     grid = [[vec[m * dim_v + v] for m in range(cols)] for v in range(dim_v)]
-    return Cochain(degree, Matrix(grid))
-
-
-def _columns(c: Cochain):
-    vals = c.values
-    return [vals.column(m) for m in range(vals.cols)]
+    return Cochain(degree, Matrix._trusted(grid, cols))
 
 
 def apply_delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    """The Loday-Pirashvili coboundary of f, degree n -> n + 1.
-
-    (delta f)(x_1..x_{n+1}) =
-        sum_{i<=n} (-1)^(i+1) rhoL(x_i) f(..no x_i..)
-      + (-1)^(n+1) rhoR(x_{n+1}) f(x_1..x_n)
-      + sum_{i<j} (-1)^i f(..no x_i.., [x_i,x_j] in slot j-1, ..).
-
-    At n = 0 only the middle term survives: (delta v)(x) = -rhoR(x) v.
-    """
+    """The Loday-Pirashvili coboundary of f, degree n -> n + 1: the matrix
+    ``delta_matrix(alg, rep, n)`` applied to f."""
     n = f.degree
-    d = alg.dim
-    dim_v = rep.dim_v
-    fcols = _columns(f)
-    out = []
-    sign_mid = ONE if n % 2 else -ONE  # (-1)^(n+1)
-    for y in itertools.product(range(1, d + 1), repeat=n + 1):
-        acc = [ZERO] * dim_v
-        for i in range(1, n + 1):
-            col = fcols[flat_index(y[: i - 1] + y[i:], d)]
-            if not vec_is_zero(col):
-                image = rep.rho_left[y[i - 1] - 1].apply(col)
-                if i % 2:
-                    acc = [a + b for a, b in zip(acc, image)]
-                else:
-                    acc = [a - b for a, b in zip(acc, image)]
-        col = fcols[flat_index(y[:n], d)]
-        if not vec_is_zero(col):
-            image = rep.rho_right[y[n] - 1].apply(col)
-            acc = [a + sign_mid * b for a, b in zip(acc, image)]
-        for i in range(1, n + 2):
-            for j in range(i + 1, n + 2):
-                bracket = alg.bracket_basis(y[i - 1], y[j - 1])
-                if vec_is_zero(bracket):
-                    continue
-                base = list(y[: i - 1] + y[i:])
-                sign = -ONE if i % 2 else ONE
-                for k, c in enumerate(bracket):
-                    if c:
-                        base[j - 2] = k + 1
-                        col = fcols[flat_index(base, d)]
-                        if not vec_is_zero(col):
-                            s = sign * c
-                            acc = [a + s * b for a, b in zip(acc, col)]
-        out.append(tuple(acc))
-    return Cochain(n + 1, Matrix.from_cols(out, dim_v))
+    image = delta_matrix(alg, rep, n).apply(cochain_to_vec(f))
+    return vec_to_cochain(image, rep.dim_v, alg.dim, n + 1)
 
 
 def _flat(indices, d: int) -> int:
@@ -209,11 +190,17 @@ def _add(row, pos: int, v: Fraction):
 
 
 def delta_matrix(alg: LeibnizAlgebra, rep: Representation, n: int) -> Matrix:
-    """Matrix of the degree-n Loday-Pirashvili coboundary.
+    """Matrix of the degree-n Loday-Pirashvili coboundary:
 
-    Row block y (a degree-(n+1) multi-index) collects, for each term of the
-    formula in ``apply_delta``, the nonzero coefficients at the column
-    (x, b) of the degree-n cochain entry that term reads.
+    (delta f)(x_1..x_{n+1}) =
+        sum_{i<=n} (-1)^(i+1) rhoL(x_i) f(..no x_i..)
+      + (-1)^(n+1) rhoR(x_{n+1}) f(x_1..x_n)
+      + sum_{i<j} (-1)^i f(..no x_i.., [x_i,x_j] in slot j-1, ..).
+
+    At n = 0 only the middle term survives: (delta v)(x) = -rhoR(x) v.
+    Row block y (a degree-(n+1) multi-index) collects, for each term, the
+    nonzero coefficients at the column (x, b) of the degree-n cochain entry
+    that term reads.
     """
     if n < 0:
         raise DimensionMismatch("degree must be >= 0")
@@ -275,63 +262,14 @@ def partial_matrix(
 def apply_phi(
     alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, f: Cochain
 ) -> Cochain:
-    """The comparison map into the operator complex, degree preserved.
+    """The comparison map into the operator complex, degree preserved: the
+    matrix ``phi_matrix(alg, ctx, rep, n)`` applied to f.
 
     See PHI_CONVENTION for the subset weights; degree 0 is the identity.
     """
     n = f.degree
-    if n == 0:
-        return f
-    d = alg.dim
-    dim_v = rep.dim_v
-    k = ctx.operator
-    kv = rep.k_v
-    fcols = _columns(f)
-    knz = [
-        [(r + 1, k[r, j]) for r in range(d) if k[r, j]]
-        for j in range(d)
-    ]
-    weights = [phi_weight(r, ctx.weight) for r in range(n + 1)]
-    out = []
-    for y in itertools.product(range(1, d + 1), repeat=n):
-        acc = [ZERO] * dim_v
-        for mask in range(1 << n):
-            r = bin(mask).count("1")
-            w = weights[r]
-            if not w:
-                continue
-            choices = []
-            dead = False
-            for slot in range(n):
-                if mask >> slot & 1:
-                    choices.append(((y[slot], ONE),))
-                else:
-                    opts = knz[y[slot] - 1]
-                    if not opts:
-                        dead = True
-                        break
-                    choices.append(tuple(opts))
-            if dead:
-                continue
-            term = [ZERO] * dim_v
-            hit = False
-            for combo in itertools.product(*choices):
-                coeff = ONE
-                pos = 0
-                for idx, val in combo:
-                    coeff *= val
-                    pos = pos * d + (idx - 1)
-                col = fcols[pos]
-                if not vec_is_zero(col):
-                    hit = True
-                    term = [a + coeff * b for a, b in zip(term, col)]
-            if not hit:
-                continue
-            if r % 2:
-                term = kv.apply(term)
-            acc = [a + w * b for a, b in zip(acc, term)]
-        out.append(tuple(acc))
-    return Cochain(n, Matrix.from_cols(out, dim_v))
+    image = phi_matrix(alg, ctx, rep, n).apply(cochain_to_vec(f))
+    return vec_to_cochain(image, rep.dim_v, alg.dim, n)
 
 
 def phi_matrix(

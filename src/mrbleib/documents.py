@@ -13,10 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import LeibnizAlgebra, OperatorContext
-from .cohomology import Cochain, bracket_cochain, zero_cochain
+from .cohomology import Cochain, bracket_cochain, cochain_entries, cochain_from_entries
 from .deformation import TruncatedDeformation
 from .errors import DuplicateKey, IndexOutOfRange, ParseError
 from .extensions import CocyclePair, ExtensionData
@@ -67,11 +66,16 @@ def _parse_matrix(obj, rows: int, cols: int, what: str) -> Matrix:
     for row in obj:
         _require(isinstance(row, list) and len(row) == cols, f"{what}: expected {cols} columns")
         grid.append([parse_rational(e) for e in row])
-    return Matrix(grid)
+    return Matrix._trusted(grid, cols)
 
 
 def _matrix_json(m: Matrix):
     return [[format_rational(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def _cochain_json(c: Cochain):
+    """A cochain's nonzero entries as [i_1, .., i_n, a, "value"] lists."""
+    return [[*indices, a, format_rational(v)] for indices, a, v in cochain_entries(c)]
 
 
 def _parse_bracket(entries, dim: int, what: str = "bracket"):
@@ -195,6 +199,10 @@ def parse_deformation(text: str, base: AlgebraDocument) -> TruncatedDeformation:
     mu_blocks = data.get("mu", [])
     kk_blocks = data.get("kk", [])
     _require(
+        isinstance(mu_blocks, list) and isinstance(kk_blocks, list),
+        "mu and kk must be lists",
+    )
+    _require(
         len(mu_blocks) == order and len(kk_blocks) == order,
         "mu and kk must each carry one block per order 1..N",
     )
@@ -202,40 +210,20 @@ def parse_deformation(text: str, base: AlgebraDocument) -> TruncatedDeformation:
     mu = [bracket_cochain(base.algebra)]
     for block in mu_blocks:
         entries = _parse_bracket(block, d, "mu")
-        mu.append(
-            Cochain(2, _cochain_values(entries, d))
-        )
+        mu.append(cochain_from_entries(d, d, 2, (((i, j), k, c) for i, j, k, c in entries)))
     kk = [base.operator.operator]
     for block in kk_blocks:
         kk.append(_parse_matrix(block, d, d, "kk"))
     return TruncatedDeformation(base.algebra, base.operator, tuple(mu), tuple(kk))
 
 
-def _cochain_values(entries, d: int) -> Matrix:
-    grid = [[Fraction(0)] * (d * d) for _ in range(d)]
-    for i, j, k, c in entries:
-        grid[k - 1][(i - 1) * d + (j - 1)] = c
-    return Matrix(grid)
-
-
 def deformation_json(dfm: TruncatedDeformation):
-    d = dfm.algebra.dim
     base = AlgebraDocument(dfm.algebra, dfm.ctx, None)
-    mu_blocks = []
-    for c in dfm.mu[1:]:
-        block = []
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                col = c.values.column((i - 1) * d + (j - 1))
-                for k, v in enumerate(col):
-                    if v:
-                        block.append([i, j, k + 1, format_rational(v)])
-        mu_blocks.append(block)
     return {
         "field": "rational",
         "baseDigest": document_digest(base),
         "order": dfm.order,
-        "mu": mu_blocks,
+        "mu": [_cochain_json(c) for c in dfm.mu[1:]],
         "kk": [_matrix_json(k) for k in dfm.kk[1:]],
     }
 
@@ -250,54 +238,34 @@ def parse_cocycle(text: str, base: AlgebraDocument) -> CocyclePair:
     rep = base.effective_representation()
     _require(rep is not None, "cocycle base document needs a representation or operator")
     d, m = base.algebra.dim, rep.dim_v
-    psi_grid = [[Fraction(0)] * (d * d) for _ in range(m)]
-    seen = set()
-    for item in data.get("psi", []):
-        _require(isinstance(item, list) and len(item) == 4, "psi entries are [i, j, a, c]")
-        i, j, a, c = item
-        for idx, bound in ((i, d), (j, d), (a, m)):
-            if not _is_index(idx, bound):
-                raise IndexOutOfRange(f"psi index {idx} outside 1..{bound}")
-        if (i, j, a) in seen:
-            raise DuplicateKey(f"psi duplicate key {(i, j, a)}")
-        seen.add((i, j, a))
-        psi_grid[a - 1][(i - 1) * d + (j - 1)] = parse_rational(c)
-    chi_grid = [[Fraction(0)] * d for _ in range(m)]
-    seen = set()
-    for item in data.get("chi", []):
-        _require(isinstance(item, list) and len(item) == 3, "chi entries are [i, a, c]")
-        i, a, c = item
-        for idx, bound in ((i, d), (a, m)):
-            if not _is_index(idx, bound):
-                raise IndexOutOfRange(f"chi index {idx} outside 1..{bound}")
-        if (i, a) in seen:
-            raise DuplicateKey(f"chi duplicate key {(i, a)}")
-        seen.add((i, a))
-        chi_grid[a - 1][i - 1] = parse_rational(c)
-    return CocyclePair(Cochain(2, Matrix(psi_grid)), Cochain(1, Matrix(chi_grid)))
+    halves = []
+    for key, degree, shape in (("psi", 2, "[i, j, a, c]"), ("chi", 1, "[i, a, c]")):
+        items = data.get(key, [])
+        _require(isinstance(items, list), f"{key} must be a list")
+        entries = []
+        seen = set()
+        for item in items:
+            _require(
+                isinstance(item, list) and len(item) == degree + 2, f"{key} entries are {shape}"
+            )
+            *indices, a, c = item
+            for idx, bound in (*((i, d) for i in indices), (a, m)):
+                if not _is_index(idx, bound):
+                    raise IndexOutOfRange(f"{key} index {idx} outside 1..{bound}")
+            if (*indices, a) in seen:
+                raise DuplicateKey(f"{key} duplicate key {(*indices, a)}")
+            seen.add((*indices, a))
+            entries.append((indices, a, parse_rational(c)))
+        halves.append(cochain_from_entries(m, d, degree, entries))
+    return CocyclePair(*halves)
 
 
 def cocycle_json(pair: CocyclePair, base: AlgebraDocument):
-    d = base.algebra.dim
-    m = pair.psi.values.rows
-    psi_entries = []
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            col = pair.psi.values.column((i - 1) * d + (j - 1))
-            for a, v in enumerate(col):
-                if v:
-                    psi_entries.append([i, j, a + 1, format_rational(v)])
-    chi_entries = []
-    for i in range(1, d + 1):
-        col = pair.chi.values.column(i - 1)
-        for a, v in enumerate(col):
-            if v:
-                chi_entries.append([i, a + 1, format_rational(v)])
     return {
         "field": "rational",
         "baseDigest": document_digest(base),
-        "psi": psi_entries,
-        "chi": chi_entries,
+        "psi": _cochain_json(pair.psi),
+        "chi": _cochain_json(pair.chi),
     }
 
 

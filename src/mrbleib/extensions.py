@@ -29,8 +29,7 @@ from .cohomology import (
     apply_delta,
     apply_phi,
     classify_cochain,
-    cochain_from_entries,
-    zero_cochain,
+    cochain_entries,
 )
 from .errors import (
     DimensionMismatch,
@@ -41,7 +40,7 @@ from .errors import (
     NotMRBRepresentation,
 )
 from .linalg import Matrix, ZERO, rank, solve_right_inverse, solve_with_free_zero
-from .representations import Representation, mrb_rep_defect, rep_defect
+from .representations import Representation, _direct_sum_entries, mrb_rep_defect, rep_defect
 
 
 @dataclass(frozen=True)
@@ -91,23 +90,17 @@ class CocyclePair:
 
 def canonical_injection(d: int, m: int) -> Matrix:
     """The last-m-coordinates inclusion of the fiber into base + fiber."""
-    rows = [[ZERO] * m for _ in range(d)]
-    rows += [[Fraction(1) if j == i else ZERO for j in range(m)] for i in range(m)]
-    return Matrix(rows)
+    return Matrix.zeros(d, m).vstack(Matrix.identity(m))
 
 
 def canonical_projection(d: int, m: int) -> Matrix:
     """The first-d-coordinates projection of base + fiber onto the base."""
-    return Matrix(
-        [[Fraction(1) if j == i else ZERO for j in range(d + m)] for i in range(d)]
-    )
+    return Matrix.identity(d).hstack(Matrix.zeros(d, m))
 
 
 def canonical_section(d: int, m: int) -> Matrix:
     """The first-d-coordinates inclusion of the base; the canonical section."""
-    rows = [[Fraction(1) if j == i else ZERO for j in range(d)] for i in range(d)]
-    rows += [[ZERO] * d for _ in range(m)]
-    return Matrix(rows)
+    return Matrix.identity(d).vstack(Matrix.zeros(m, d))
 
 
 def validate_extension(ext: ExtensionData) -> DefectReport:
@@ -260,22 +253,8 @@ def extension_from_cocycle(
         raise DimensionMismatch("psi shape does not match base and fiber")
     if pair.chi.values.rows != m or pair.chi.values.cols != d:
         raise DimensionMismatch("chi shape does not match base and fiber")
-    entries = [(i, j, k, c) for (i, j, k), c in alg.entries]
-    for i in range(1, d + 1):
-        for b in range(1, m + 1):
-            for a in range(1, m + 1):
-                c = rep.rho_left[i - 1][a - 1, b - 1]
-                if c:
-                    entries.append((i, d + b, d + a, c))
-                c = rep.rho_right[i - 1][a - 1, b - 1]
-                if c:
-                    entries.append((d + b, i, d + a, c))
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            col = pair.psi.values.column((i - 1) * d + (j - 1))
-            for a, c in enumerate(col):
-                if c:
-                    entries.append((i, j, d + a + 1, c))
+    entries = _direct_sum_entries(alg, rep)
+    entries.extend((i, j, d + a, c) for (i, j), a, c in cochain_entries(pair.psi))
     total = LeibnizAlgebra(d + m, entries)
     op_rows = [
         list(ctx.operator.row(i)) + [ZERO] * m for i in range(d)

@@ -36,7 +36,13 @@ ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" with an optional leading minus on p; q > 0."""
+    """Parse "p" or "p/q" with an optional leading minus on p; q > 0.
+
+    Rationals travel as strings, so anything else (a JSON number, say) is a
+    ParseError too.
+    """
+    if not isinstance(text, str):
+        raise ParseError(f"bad rational {text!r}: expected a string")
     s = text.strip().replace("−", "-")
     num, sep, den = s.partition("/")
     try:
@@ -211,12 +217,17 @@ class Matrix:
         return Matrix._trusted(zip(*self._data), self.rows)
 
     def apply(self, vec):
-        """Image of a coordinate vector under the matrix."""
+        """Image of a coordinate vector under the matrix.
+
+        Only products of a nonzero matrix entry and a nonzero coordinate are
+        formed, so applying a sparse matrix (an assembled differential, say)
+        costs one comparison per entry plus its nonzero products.
+        """
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
         return tuple(
-            sum((a * v for a, v in zip(row, vec) if v), ZERO) for row in self._data
+            sum((a * v for a, v in zip(row, vec) if a and v), ZERO) for row in self._data
         )
 
     def is_zero(self) -> bool:

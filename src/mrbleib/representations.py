@@ -78,6 +78,19 @@ def _shape_check(alg: LeibnizAlgebra, rep: Representation):
         )
 
 
+def _direct_sum_entries(alg: LeibnizAlgebra, rep: Representation) -> list:
+    """Structure constants (i, j, k, c) of the bracket on g + V (V's basis
+    after g's) with [x, v] = rhoL(x)v, [v, y] = rhoR(y)v and V abelian."""
+    d = alg.dim
+    entries = [(i, j, k, c) for (i, j, k), c in alg.entries]
+    for i in range(d):
+        for a, b, c in rep.rho_left[i].nonzeros():
+            entries.append((i + 1, d + b + 1, d + a + 1, c))
+        for a, b, c in rep.rho_right[i].nonzeros():
+            entries.append((d + b + 1, i + 1, d + a + 1, c))
+    return entries
+
+
 def _matrix_defects(section, where, m: Matrix):
     """Flatten a residual matrix into one defect entry (row-major)."""
     return (section, where, tuple(e for row in range(m.rows) for e in m.row(row)))
@@ -275,18 +288,7 @@ def semidirect(
         raise NotMRBRepresentation("module fails the modified module law")
     if rep.dim_v == 0:
         return alg, ctx
-    d, m = alg.dim, rep.dim_v
-    entries = [(i, j, k, c) for (i, j, k), c in alg.entries]
-    for i in range(1, d + 1):
-        for b in range(1, m + 1):
-            for a in range(1, m + 1):
-                c = rep.rho_left[i - 1][a - 1, b - 1]
-                if c:
-                    entries.append((i, d + b, d + a, c))
-                c = rep.rho_right[i - 1][a - 1, b - 1]
-                if c:
-                    entries.append((d + b, i, d + a, c))
-    total = LeibnizAlgebra(d + m, entries)
+    total = LeibnizAlgebra(alg.dim + rep.dim_v, _direct_sum_entries(alg, rep))
     op = OperatorContext(Matrix.diag_blocks(ctx.operator, rep.k_v), ctx.weight)
     assert leibniz_defect(total).is_empty
     assert mrb_defect(total, op).is_empty

@@ -7,23 +7,25 @@ the oracle for the integer elimination kernel of ``mrbleib._kernels_py``.
 with dense vectors and matrices, the oracle for the sparse checkers of
 ``mrbleib.algebra`` and ``mrbleib.representations``.
 
-The differential matrices are assembled by basis evaluation: each matrix
-is built column by column, evaluating the cochain operation on every basis
-cochain and flattening the image into a column.  This is slow, but it
-only relies on ``apply_delta`` and ``apply_phi``, which evaluate the
-defining formulas directly, so it is the oracle the directly assembled
-matrices of ``mrbleib.cohomology`` are compared against.
+``apply_delta`` and ``apply_phi`` evaluate the defining formulas of delta
+and Phi on one cochain, column by column.  The package writes each formula
+only once, in its assembled matrix, and evaluates cochains through it; the
+differential matrices here are built by basis evaluation instead: column by
+column, evaluating these formulas on every basis cochain and flattening the
+image.  This is slow, but it shares no code with the assembly, so it is
+the oracle the matrices of ``mrbleib.cohomology`` are compared against.
 """
+
+import itertools
 
 from mrbleib.algebra import DefectReport, _basis, _check_dims, _collect
 from mrbleib.cohomology import (
     Cochain,
-    apply_delta,
-    apply_phi,
     cochain_to_vec,
     operator_complex_pair,
+    phi_weight,
 )
-from mrbleib.linalg import ONE, ZERO, Matrix, vec_add, vec_scale, vec_sub
+from mrbleib.linalg import ONE, ZERO, Matrix, flat_index, vec_add, vec_is_zero, vec_scale, vec_sub
 from mrbleib.representations import _combine, _matrix_defects, _shape_check
 
 
@@ -72,6 +74,122 @@ def fraction_rref(rows):
         if pr == m:
             break
     return mat, pivots
+
+
+def _columns(c):
+    vals = c.values
+    return [vals.column(m) for m in range(vals.cols)]
+
+
+def apply_delta(alg, rep, f):
+    """The Loday-Pirashvili coboundary of f, degree n -> n + 1.
+
+    (delta f)(x_1..x_{n+1}) =
+        sum_{i<=n} (-1)^(i+1) rhoL(x_i) f(..no x_i..)
+      + (-1)^(n+1) rhoR(x_{n+1}) f(x_1..x_n)
+      + sum_{i<j} (-1)^i f(..no x_i.., [x_i,x_j] in slot j-1, ..).
+
+    At n = 0 only the middle term survives: (delta v)(x) = -rhoR(x) v.
+    """
+    n = f.degree
+    d = alg.dim
+    dim_v = rep.dim_v
+    fcols = _columns(f)
+    out = []
+    sign_mid = ONE if n % 2 else -ONE  # (-1)^(n+1)
+    for y in itertools.product(range(1, d + 1), repeat=n + 1):
+        acc = [ZERO] * dim_v
+        for i in range(1, n + 1):
+            col = fcols[flat_index(y[: i - 1] + y[i:], d)]
+            if not vec_is_zero(col):
+                image = rep.rho_left[y[i - 1] - 1].apply(col)
+                if i % 2:
+                    acc = [a + b for a, b in zip(acc, image)]
+                else:
+                    acc = [a - b for a, b in zip(acc, image)]
+        col = fcols[flat_index(y[:n], d)]
+        if not vec_is_zero(col):
+            image = rep.rho_right[y[n] - 1].apply(col)
+            acc = [a + sign_mid * b for a, b in zip(acc, image)]
+        for i in range(1, n + 2):
+            for j in range(i + 1, n + 2):
+                bracket = alg.bracket_basis(y[i - 1], y[j - 1])
+                if vec_is_zero(bracket):
+                    continue
+                base = list(y[: i - 1] + y[i:])
+                sign = -ONE if i % 2 else ONE
+                for k, c in enumerate(bracket):
+                    if c:
+                        base[j - 2] = k + 1
+                        col = fcols[flat_index(base, d)]
+                        if not vec_is_zero(col):
+                            s = sign * c
+                            acc = [a + s * b for a, b in zip(acc, col)]
+        out.append(tuple(acc))
+    return Cochain(n + 1, Matrix.from_cols(out, dim_v))
+
+
+def apply_phi(alg, ctx, rep, f):
+    """The comparison map into the operator complex, degree preserved.
+
+    Phi(f)(y) sums, over the slot subsets S with a nonzero weight w(|S|),
+    w(|S|) * f(a) with a_i = y_i on S and a_i = K y_i off S, post-composed
+    with K_V when |S| is odd (``mrbleib.cohomology.PHI_CONVENTION``).
+    Degree 0 is the identity.
+    """
+    n = f.degree
+    if n == 0:
+        return f
+    d = alg.dim
+    dim_v = rep.dim_v
+    k = ctx.operator
+    kv = rep.k_v
+    fcols = _columns(f)
+    knz = [
+        [(r + 1, k[r, j]) for r in range(d) if k[r, j]]
+        for j in range(d)
+    ]
+    weights = [phi_weight(r, ctx.weight) for r in range(n + 1)]
+    out = []
+    for y in itertools.product(range(1, d + 1), repeat=n):
+        acc = [ZERO] * dim_v
+        for mask in range(1 << n):
+            r = bin(mask).count("1")
+            w = weights[r]
+            if not w:
+                continue
+            choices = []
+            dead = False
+            for slot in range(n):
+                if mask >> slot & 1:
+                    choices.append(((y[slot], ONE),))
+                else:
+                    opts = knz[y[slot] - 1]
+                    if not opts:
+                        dead = True
+                        break
+                    choices.append(tuple(opts))
+            if dead:
+                continue
+            term = [ZERO] * dim_v
+            hit = False
+            for combo in itertools.product(*choices):
+                coeff = ONE
+                pos = 0
+                for idx, val in combo:
+                    coeff *= val
+                    pos = pos * d + (idx - 1)
+                col = fcols[pos]
+                if not vec_is_zero(col):
+                    hit = True
+                    term = [a + coeff * b for a, b in zip(term, col)]
+            if not hit:
+                continue
+            if r % 2:
+                term = kv.apply(term)
+            acc = [a + w * b for a, b in zip(acc, term)]
+        out.append(tuple(acc))
+    return Cochain(n, Matrix.from_cols(out, dim_v))
 
 
 def basis_cochains(dim_v, alg_dim, degree):

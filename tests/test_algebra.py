@@ -175,6 +175,16 @@ def test_grid_search_masked_weight1():
     assert solutions == [K0.operator]
 
 
+def test_grid_search_on_aff_over_minus_one_zero_one():
+    grid = [F(-1), F(0), F(1)]
+    assert len(grid_search_operators(AFF, F(0), grid)) == 15
+    # weight 1: only the two rotations
+    assert grid_search_operators(AFF, F(1), grid) == [
+        Matrix([[0, -1], [1, 0]]),
+        Matrix([[0, 1], [-1, 0]]),
+    ]
+
+
 def test_grid_search_degenerate_and_budget():
     assert grid_search_operators(AFF, F(0), [F(0)]) == [Matrix.zeros(2, 2)]
     with pytest.raises(BudgetExceeded):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from fixtures import AFF, G3, K0, ROT, Z1
-from mrbleib.algebra import OperatorContext
+from mrbleib.algebra import LeibnizAlgebra, OperatorContext
 from mrbleib.cli import build_parser, execute, main
 from mrbleib.cohomology import cone_differential, vec_to_cone
 from mrbleib.deformation import FormalIso, TruncatedDeformation, apply_formal_iso
@@ -321,5 +321,75 @@ def _with_true(tmp_path, where):
 @pytest.mark.parametrize("where", ["dim", "bracket index", "dimV", "order"])
 def test_json_true_is_not_a_count_or_an_index(tmp_path, capsys, where):
     assert main(_with_true(tmp_path, where)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("mrbleib:")
+
+
+def test_extend_build_over_a_zero_dimensional_module(tmp_path, capsys):
+    # psi and chi of a dimV 0 module are 0 x 4 and 0 x 2: the extension is
+    # the base algebra and operator themselves
+    zero = Matrix.zeros(0, 0)
+    base = AlgebraDocument(AFF, ROT, Representation(0, (zero, zero), (zero, zero), zero))
+    doc = write(tmp_path, "base.json", serialize_document(base))
+    pair = CocyclePair(zero_cochain(0, 2, 2), zero_cochain(0, 2, 1))
+    cpath = write(tmp_path, "cocycle.json", json.dumps(cocycle_json(pair, base)))
+    assert main(["extend", "build", doc, "--cocycle", cpath]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    plain = json.loads(serialize_document(AlgebraDocument(AFF, ROT, None)))
+    assert result["total"] == plain and result["base"] == plain
+    assert result["incl"] == [[], []] and result["fiberOp"] == []
+    epath = write(tmp_path, "ext.json", json.dumps(result))
+    assert main(["extend", "extract", epath]) == 0
+    extracted = json.loads(capsys.readouterr().out)["result"]
+    assert extracted["representation"]["dimV"] == 0
+    assert extracted["cocycle"]["psi"] == [] and extracted["cocycle"]["chi"] == []
+
+
+def test_extend_over_a_zero_dimensional_base(tmp_path, capsys):
+    # the projection onto a dim-0 base is a 0 x 1 matrix, written []
+    zero = Matrix.zeros(0, 0)
+    empty = LeibnizAlgebra(0, [])
+    ctx = OperatorContext(zero, F(0))
+    base = AlgebraDocument(empty, ctx, Representation(1, (), (), Matrix([[2]])))
+    doc = write(tmp_path, "base.json", serialize_document(base))
+    pair = CocyclePair(zero_cochain(1, 0, 2), zero_cochain(1, 0, 1))
+    cpath = write(tmp_path, "cocycle.json", json.dumps(cocycle_json(pair, base)))
+    assert main(["extend", "build", doc, "--cocycle", cpath]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["proj"] == [] and result["incl"] == [["1"]]
+    assert result["total"]["operator"]["matrix"] == [["2"]]
+    epath = write(tmp_path, "ext.json", json.dumps(result))
+    assert main(["extend", "extract", epath]) == 0
+    extracted = json.loads(capsys.readouterr().out)["result"]
+    assert extracted["representation"]["kV"] == [["2"]]
+    assert extracted["section"] == [[]]
+
+
+def _wrongly_typed(tmp_path, where):
+    """CLI arguments whose input has a JSON value of the wrong type at ``where``."""
+    if where == "coefficient":
+        text = '{"field":"rational","algebra":{"dim":1,"bracket":[[1,1,1,1]]}}'
+        return ["check", write(tmp_path, "doc.json", text)]
+    if where == "weight":
+        payload = json.loads(AFF_DOC)
+        payload["operator"]["weight"] = 0
+        return ["check", write(tmp_path, "doc.json", json.dumps(payload))]
+    if where in ("mu", "kk"):
+        doc = write(tmp_path, "aff.json", AFF_DOC)
+        payload = deformation_json(TruncatedDeformation.trivial(AFF, ROT, 1))
+        payload[where] = 5
+        return ["deform", "verify", doc, "--deformation",
+                write(tmp_path, "def.json", json.dumps(payload))]
+    base = AlgebraDocument(G3, K0, regular_rep(G3, K0))
+    doc = write(tmp_path, "base.json", serialize_document(base))
+    payload = cocycle_json(CocyclePair(zero_cochain(3, 3, 2), zero_cochain(3, 3, 1)), base)
+    payload[where] = 5
+    return ["extend", "build", doc, "--cocycle",
+            write(tmp_path, "cocycle.json", json.dumps(payload))]
+
+
+@pytest.mark.parametrize("where", ["coefficient", "weight", "mu", "kk", "psi", "chi"])
+def test_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, where):
+    assert main(_wrongly_typed(tmp_path, where)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("mrbleib:")

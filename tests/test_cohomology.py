@@ -16,6 +16,8 @@ from fixtures import (
     KZ,
     MRB_FIXTURES,
     ROT,
+    SL2,
+    SL2_ID,
     SL2_ROT,
     SL2_ROT_K,
     Z1,
@@ -31,6 +33,8 @@ from mrbleib.cohomology import (
     apply_phi,
     bracket_cochain,
     classify_cochain,
+    cochain_entries,
+    cochain_from_entries,
     cochain_to_vec,
     cohomology_dimensions,
     cone_differential,
@@ -47,7 +51,7 @@ from mrbleib.cohomology import (
     zero_cochain,
     zero_cone_cochain,
 )
-from mrbleib.errors import BudgetExceeded, InvalidArgument, NotAComplex, NotLeibniz
+from mrbleib.errors import BudgetExceeded, DimensionMismatch, InvalidArgument, NotAComplex, NotLeibniz
 from mrbleib.linalg import Matrix, kernel_basis, rank
 from mrbleib.representations import Representation, regular_rep
 
@@ -405,3 +409,73 @@ def test_validation_survives_optimized_python():
 def test_negative_max_degree_is_rejected():
     with pytest.raises(InvalidArgument):
         cohomology_dimensions(G3, regular_rep(G3), max_degree=-1)
+
+
+@pytest.mark.parametrize("name, alg, ctx, rep", ASSEMBLY_CASES, ids=[c[0] for c in ASSEMBLY_CASES])
+def test_evaluators_match_the_reference_formulas(name, alg, ctx, rep):
+    rng = random.Random(name)
+    derived, ind = operator_complex_pair(alg, ctx, rep)
+    for n in range(3):
+        cells = [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(rep.dim_v * alg.dim ** n)]
+        f = vec_to_cochain(cells, rep.dim_v, alg.dim, n)
+        assert apply_delta(alg, rep, f) == reference.apply_delta(alg, rep, f), n
+        assert apply_delta(derived, ind, f) == reference.apply_delta(derived, ind, f), n
+        assert apply_phi(alg, ctx, rep, f) == reference.apply_phi(alg, ctx, rep, f), n
+
+
+def test_cochain_entries_invert_cochain_from_entries():
+    entries = [((1, 2), 1, F(1, 2)), ((2, 1), 2, F(-3)), ((1, 2), 2, F(4)), ((3, 3), 1, F(7))]
+    c = cochain_from_entries(2, 3, 2, entries)
+    # flat column order, then fiber row
+    assert list(cochain_entries(c)) == [entries[0], entries[2], entries[1], entries[3]]
+    assert cochain_from_entries(2, 3, 2, cochain_entries(c)) == c
+    assert list(cochain_entries(zero_cochain(2, 3, 2))) == []
+    assert list(cochain_entries(Cochain(0, Matrix([[0], [5]])))) == [((), 2, F(5))]
+    # a repeated key adds up
+    assert list(cochain_entries(cochain_from_entries(1, 2, 1, [((2,), 1, 1), ((2,), 1, 2)]))) == [
+        ((2,), 1, F(3))
+    ]
+    for a in (0, 3):
+        with pytest.raises(DimensionMismatch):
+            cochain_from_entries(2, 3, 1, [((1,), a, 1)])
+
+
+def test_cochains_of_a_zero_dimensional_module_keep_their_columns():
+    for degree in range(3):
+        cols = 3 ** degree
+        assert cochain_from_entries(0, 3, degree, []).values.cols == cols
+        assert vec_to_cochain((), 0, 3, degree).values.cols == cols
+        assert list(cochain_entries(zero_cochain(0, 3, degree))) == []
+
+
+AFF_ID = OperatorContext(Matrix.identity(2), F(-1))
+
+
+def test_chain_map_on_aff_with_the_identity():
+    rep = regular_rep(AFF, AFF_ID)
+    for n in range(4):
+        lhs = phi_matrix(AFF, AFF_ID, rep, n + 1) @ delta_matrix(AFF, rep, n)
+        rhs = partial_matrix(AFF, AFF_ID, rep, n) @ phi_matrix(AFF, AFF_ID, rep, n)
+        assert lhs == rhs, n
+
+
+# Leibniz, operator and cone H^0..H^2 with the regular module
+DEGREE_TWO_TABLES = [
+    ("z1-zero", Z1, Z1_ZERO, (1, 1, 1), (1, 1, 1), (0, 1, 2)),
+    ("g3-k0", G3, K0, (2, 4, 8), (2, 4, 8), (0, 3, 3)),
+    ("aff-id", AFF, AFF_ID, (0, 0, 0), (2, 2, 2), (0, 2, 2)),
+    ("sl2-id", SL2, SL2_ID, (0, 0, 0), (3, 0, 0), (0, 3, 0)),
+    ("aff-zero", AFF, OperatorContext(Matrix.zeros(2, 2), F(0)), (0, 0, 0), (2, 4, 8), (0, 2, 4)),
+    ("sl2-zero", SL2, OperatorContext(Matrix.zeros(3, 3), F(0)), (0, 0, 0), (3, 9, 27), (0, 3, 9)),
+    ("aff-2id", AFF, OperatorContext(Matrix.identity(2).scale(2), F(-4)), (0, 0, 0), (2, 2, 2), (0, 2, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, alg, ctx, leib, op, cone", DEGREE_TWO_TABLES, ids=[t[0] for t in DEGREE_TWO_TABLES]
+)
+def test_degree_two_tables(name, alg, ctx, leib, op, cone):
+    report = cohomology_dimensions(alg, regular_rep(alg, ctx), ctx, max_degree=2)
+    assert report.leibniz.cohomology_dims == leib
+    assert report.operator.cohomology_dims == op
+    assert report.cone.cohomology_dims == cone
