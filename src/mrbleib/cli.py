@@ -208,7 +208,7 @@ def cmd_deform(doc: AlgebraDocument, sub: str, deformation_text: str):
         rep = regular_rep(dfm.algebra, dfm.ctx)
         cls = classify_cochain(dfm.algebra, dfm.ctx, rep, cone)
         result = {
-            "mu1": _cochain_json(cone.leib),
+            "mu1": _cochain_json(cone.leib, dfm.algebra.dim),
             "k1": _matrix_json(cone.op.values),
             "cocycle": cls.cocycle,
             "coboundary": cls.coboundary,

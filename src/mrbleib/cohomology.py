@@ -14,16 +14,18 @@ A degree-n cochain is a (dim V) x (dim g)^n matrix; column order follows
 the flat multi-index with the leftmost argument most significant.  As a
 vector, entry (x, b) of a cochain sits at position flat(x) * dim V + b.
 
-The differential matrices are assembled directly, one row block per output
-multi-index y: delta adds the nonzero entries of rho_L(y_i), rho_R(y_{n+1})
-and the structure constants at the columns each term of its formula reads,
-phi adds the nonzero entries of K on the unselected slots of every slot
-subset (with K_V on odd subsets), and the cone writes its block rows in one
-pass.  Each formula is written once, in its assembly: ``apply_delta``,
-``apply_phi`` and ``apply_cone`` apply the assembled matrices to the
-flattened cochain.  The tests compare the assembly with an independent
-per-cochain evaluation of the formulas (``tests/reference.py``) on every
-basis cochain.
+Each differential formula is written once, as a generator of row blocks
+(``_delta_blocks``, ``_phi_blocks``): for every output multi-index y it lists
+the sparse terms of the image at y, i.e. the nonzero entries of
+rho_L(y_i), rho_R(y_{n+1}) and the structure constants (delta), or of K on
+the unselected slots of every slot subset, with K_V on odd subsets (Phi),
+each at the cochain column it reads.  ``delta_matrix`` and ``phi_matrix``
+write these terms into rows; ``apply_delta`` and ``apply_phi`` multiply them
+against one cochain without building a matrix, so evaluating a cochain
+costs about as many operations as the matrix has nonzeros.  The cone
+matrix is written in one pass from its blocks.  The tests compare the
+assembly with an independent per-cochain evaluation of the formulas
+(``tests/reference.py``) on every basis cochain.
 
 Sparse entries ((i_1..i_n), a, value), 1-based, are the document format of
 a cochain: ``cochain_from_entries`` reads them and ``cochain_entries``
@@ -122,15 +124,12 @@ def cochain_from_entries(dim_v: int, alg_dim: int, degree: int, entries) -> Coch
     return Cochain(degree, Matrix._trusted(grid, cols))
 
 
-def cochain_entries(c: Cochain):
+def cochain_entries(c: Cochain, alg_dim: int):
     """The nonzero entries of c as ((i_1..i_n), a, value), 1-based, in flat
     column order and then fiber row; the inverse of ``cochain_from_entries``."""
     vals, n = c.values, c.degree
-    d = round(vals.cols ** (1 / n)) if n else 1
-    if d ** n != vals.cols:
-        raise DimensionMismatch(f"{vals.cols} columns are no degree-{n} cochain")
     for m in range(vals.cols):
-        indices = unflatten(m, n, d)
+        indices = unflatten(m, n, alg_dim)
         for a in range(vals.rows):
             v = vals[a, m]
             if v:
@@ -167,14 +166,6 @@ def vec_to_cochain(vec, dim_v: int, alg_dim: int, degree: int) -> Cochain:
     return Cochain(degree, Matrix._trusted(grid, cols))
 
 
-def apply_delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    """The Loday-Pirashvili coboundary of f, degree n -> n + 1: the matrix
-    ``delta_matrix(alg, rep, n)`` applied to f."""
-    n = f.degree
-    image = delta_matrix(alg, rep, n).apply(cochain_to_vec(f))
-    return vec_to_cochain(image, rep.dim_v, alg.dim, n + 1)
-
-
 def _flat(indices, d: int) -> int:
     """Flat position of a 0-based multi-index (no range check)."""
     pos = 0
@@ -189,8 +180,39 @@ def _add(row, pos: int, v: Fraction):
     row[pos] = old + v if old else v
 
 
-def delta_matrix(alg: LeibnizAlgebra, rep: Representation, n: int) -> Matrix:
-    """Matrix of the degree-n Loday-Pirashvili coboundary:
+def _assemble(blocks, dim_v: int, cols: int) -> Matrix:
+    """The matrix whose t-th row block (dim_v rows) sums the t-th block's
+    terms: each (base, nz) adds v at (a, base + b) for every (a, b, v) in nz."""
+    rows = []
+    for terms in blocks:
+        block = [[ZERO] * cols for _ in range(dim_v)]
+        for base, nz in terms:
+            for a, b, v in nz:
+                _add(block[a], base + b, v)
+        rows.extend(block)
+    return Matrix._trusted(rows, cols)
+
+
+def _evaluate(blocks, f: Cochain, dim_v: int, alg_dim: int, degree: int) -> Cochain:
+    """The same sums applied to f without building the matrix: only terms
+    that meet a nonzero entry of f are multiplied out."""
+    if f.values.rows != dim_v or f.values.cols != alg_dim ** f.degree:
+        raise DimensionMismatch("cochain shape does not match algebra and module")
+    vec = cochain_to_vec(f)
+    out = []
+    for terms in blocks:
+        acc = [ZERO] * dim_v
+        for base, nz in terms:
+            for a, b, v in nz:
+                x = vec[base + b]
+                if x:
+                    _add(acc, a, v * x)
+        out.extend(acc)
+    return vec_to_cochain(out, dim_v, alg_dim, degree)
+
+
+def _delta_blocks(alg: LeibnizAlgebra, rep: Representation, n: int):
+    """The degree-n Loday-Pirashvili coboundary, one row block at a time:
 
     (delta f)(x_1..x_{n+1}) =
         sum_{i<=n} (-1)^(i+1) rhoL(x_i) f(..no x_i..)
@@ -198,35 +220,31 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, n: int) -> Matrix:
       + sum_{i<j} (-1)^i f(..no x_i.., [x_i,x_j] in slot j-1, ..).
 
     At n = 0 only the middle term survives: (delta v)(x) = -rhoR(x) v.
-    Row block y (a degree-(n+1) multi-index) collects, for each term, the
-    nonzero coefficients at the column (x, b) of the degree-n cochain entry
-    that term reads.
+    For each degree-(n+1) multi-index y in flat order, yields the terms of
+    (delta f)(y) as (base, nz): base is the vector offset of the cochain
+    column (x, 0) the term reads and nz its nonzero (a, b, coefficient)s.
     """
-    if n < 0:
-        raise DimensionMismatch("degree must be >= 0")
     d = alg.dim
     dim_v = rep.dim_v
-    cols = dim_v * d ** n
     left = [m.nonzeros() for m in rep.rho_left]
     left_neg = [[(a, b, -v) for a, b, v in nz] for nz in left]
     right = [m.nonzeros() for m in rep.rho_right]
     if n % 2 == 0:  # the sign (-1)^(n+1) of the rho_R term
         right = [[(a, b, -v) for a, b, v in nz] for nz in right]
+    # (-1)^i c times the identity of V, for odd and for even 1-based i
     brackets = {}
     for (i, j, k), c in alg.entries:
-        brackets.setdefault((i - 1, j - 1), []).append((k - 1, c))
-    rows = []
+        brackets.setdefault((i - 1, j - 1), []).append(
+            (k - 1, [(b, b, -c) for b in range(dim_v)], [(b, b, c) for b in range(dim_v)])
+        )
     for y in itertools.product(range(d), repeat=n + 1):
-        block = [[ZERO] * cols for _ in range(dim_v)]
         # (-1)^(i+1) rho_L(y_i) f(.. no y_i ..), 1-based i <= n
-        for i in range(n):
-            base = _flat(y[:i] + y[i + 1:], d) * dim_v
-            for a, b, v in (left if i % 2 == 0 else left_neg)[y[i]]:
-                _add(block[a], base + b, v)
+        terms = [
+            (_flat(y[:i] + y[i + 1:], d) * dim_v, (left if i % 2 == 0 else left_neg)[y[i]])
+            for i in range(n)
+        ]
         # (-1)^(n+1) rho_R(y_{n+1}) f(y_1..y_n)
-        base = _flat(y[:n], d) * dim_v
-        for a, b, v in right[y[n]]:
-            _add(block[a], base + b, v)
+        terms.append((_flat(y[:n], d) * dim_v, right[y[n]]))
         # (-1)^i f(.. no y_i .., [y_i, y_j] in slot j-1 ..), 1-based i < j
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
@@ -234,14 +252,25 @@ def delta_matrix(alg: LeibnizAlgebra, rep: Representation, n: int) -> Matrix:
                 if bracket is None:
                     continue
                 rest = list(y[:i] + y[i + 1:])
-                for k, c in bracket:
+                for k, odd, even in bracket:
                     rest[j - 1] = k
-                    base = _flat(rest, d) * dim_v
-                    s = -c if i % 2 == 0 else c
-                    for b in range(dim_v):
-                        _add(block[b], base + b, s)
-        rows.extend(block)
-    return Matrix._trusted(rows, cols)
+                    terms.append((_flat(rest, d) * dim_v, odd if i % 2 == 0 else even))
+        yield terms
+
+
+def apply_delta(alg: LeibnizAlgebra, rep: Representation, f: Cochain) -> Cochain:
+    """The Loday-Pirashvili coboundary of f, degree n -> n + 1 (see
+    ``_delta_blocks``)."""
+    n = f.degree
+    return _evaluate(_delta_blocks(alg, rep, n), f, rep.dim_v, alg.dim, n + 1)
+
+
+def delta_matrix(alg: LeibnizAlgebra, rep: Representation, n: int) -> Matrix:
+    """Matrix of the degree-n Loday-Pirashvili coboundary (see
+    ``_delta_blocks``)."""
+    if n < 0:
+        raise DimensionMismatch("degree must be >= 0")
+    return _assemble(_delta_blocks(alg, rep, n), rep.dim_v, rep.dim_v * alg.dim ** n)
 
 
 def operator_complex_pair(
@@ -259,34 +288,17 @@ def partial_matrix(
     return delta_matrix(derived, ind, n)
 
 
-def apply_phi(
-    alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, f: Cochain
-) -> Cochain:
-    """The comparison map into the operator complex, degree preserved: the
-    matrix ``phi_matrix(alg, ctx, rep, n)`` applied to f.
-
-    See PHI_CONVENTION for the subset weights; degree 0 is the identity.
-    """
-    n = f.degree
-    image = phi_matrix(alg, ctx, rep, n).apply(cochain_to_vec(f))
-    return vec_to_cochain(image, rep.dim_v, alg.dim, n)
-
-
-def phi_matrix(
-    alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, n: int
-) -> Matrix:
-    """Matrix of the degree-n comparison map (identity at degree 0).
+def _phi_blocks(alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, n: int):
+    """The degree-n comparison map, one row block at a time (the identity
+    at degree 0), in the form of ``_delta_blocks``.
 
     For row block y and each slot subset S with a nonzero weight, the
     columns x with x_i = y_i on S and K[x_i, y_i] != 0 off S receive
     w(|S|) * prod K[x_i, y_i], times K_V when |S| is odd and times the
     identity when it is even (see PHI_CONVENTION).
     """
-    if n == 0:
-        return Matrix.identity(rep.dim_v)
     d = alg.dim
     dim_v = rep.dim_v
-    cols = dim_v * d ** n
     k = ctx.operator
     knz = [[(r, k[r, j]) for r in range(d) if k[r, j]] for j in range(d)]
     kv = rep.k_v.nonzeros()
@@ -296,7 +308,6 @@ def phi_matrix(
         w = phi_weight(r, ctx.weight)
         if w:
             subsets.append((mask, w, r % 2 == 1))
-    rows = []
     for y in itertools.product(range(d), repeat=n):
         even = {}
         odd = {}
@@ -316,17 +327,31 @@ def phi_matrix(
                         coeff *= val
                     pos = pos * d + idx
                 acc[pos] = acc[pos] + coeff if pos in acc else coeff
-        block = [[ZERO] * cols for _ in range(dim_v)]
-        for pos, c in even.items():
-            if c:
-                for b in range(dim_v):
-                    _add(block[b], pos * dim_v + b, c)
-        for pos, c in odd.items():
-            if c:
-                for a, b, v in kv:
-                    _add(block[a], pos * dim_v + b, c * v)
-        rows.extend(block)
-    return Matrix._trusted(rows, cols)
+        terms = [
+            (pos * dim_v, [(b, b, c) for b in range(dim_v)]) for pos, c in even.items() if c
+        ]
+        terms.extend(
+            (pos * dim_v, [(a, b, c * v) for a, b, v in kv]) for pos, c in odd.items() if c
+        )
+        yield terms
+
+
+def apply_phi(
+    alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, f: Cochain
+) -> Cochain:
+    """The comparison map into the operator complex, degree preserved (see
+    ``_phi_blocks``)."""
+    n = f.degree
+    return _evaluate(_phi_blocks(alg, ctx, rep, n), f, rep.dim_v, alg.dim, n)
+
+
+def phi_matrix(
+    alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, n: int
+) -> Matrix:
+    """Matrix of the degree-n comparison map (see ``_phi_blocks``)."""
+    if n < 0:
+        raise DimensionMismatch("degree must be >= 0")
+    return _assemble(_phi_blocks(alg, ctx, rep, n), rep.dim_v, rep.dim_v * alg.dim ** n)
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,9 @@ def _matrix_json(m: Matrix):
     return [[format_rational(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def _cochain_json(c: Cochain):
+def _cochain_json(c: Cochain, alg_dim: int):
     """A cochain's nonzero entries as [i_1, .., i_n, a, "value"] lists."""
-    return [[*indices, a, format_rational(v)] for indices, a, v in cochain_entries(c)]
+    return [[*indices, a, format_rational(v)] for indices, a, v in cochain_entries(c, alg_dim)]
 
 
 def _parse_bracket(entries, dim: int, what: str = "bracket"):
@@ -223,7 +223,7 @@ def deformation_json(dfm: TruncatedDeformation):
         "field": "rational",
         "baseDigest": document_digest(base),
         "order": dfm.order,
-        "mu": [_cochain_json(c) for c in dfm.mu[1:]],
+        "mu": [_cochain_json(c, dfm.algebra.dim) for c in dfm.mu[1:]],
         "kk": [_matrix_json(k) for k in dfm.kk[1:]],
     }
 
@@ -264,8 +264,8 @@ def cocycle_json(pair: CocyclePair, base: AlgebraDocument):
     return {
         "field": "rational",
         "baseDigest": document_digest(base),
-        "psi": _cochain_json(pair.psi),
-        "chi": _cochain_json(pair.chi),
+        "psi": _cochain_json(pair.psi, base.algebra.dim),
+        "chi": _cochain_json(pair.chi, base.algebra.dim),
     }
 
 

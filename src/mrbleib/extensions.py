@@ -254,7 +254,7 @@ def extension_from_cocycle(
     if pair.chi.values.rows != m or pair.chi.values.cols != d:
         raise DimensionMismatch("chi shape does not match base and fiber")
     entries = _direct_sum_entries(alg, rep)
-    entries.extend((i, j, d + a, c) for (i, j), a, c in cochain_entries(pair.psi))
+    entries.extend((i, j, d + a, c) for (i, j), a, c in cochain_entries(pair.psi, d))
     total = LeibnizAlgebra(d + m, entries)
     op_rows = [
         list(ctx.operator.row(i)) + [ZERO] * m for i in range(d)

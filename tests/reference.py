@@ -9,11 +9,12 @@ with dense vectors and matrices, the oracle for the sparse checkers of
 
 ``apply_delta`` and ``apply_phi`` evaluate the defining formulas of delta
 and Phi on one cochain, column by column.  The package writes each formula
-only once, in its assembled matrix, and evaluates cochains through it; the
-differential matrices here are built by basis evaluation instead: column by
-column, evaluating these formulas on every basis cochain and flattening the
-image.  This is slow, but it shares no code with the assembly, so it is
-the oracle the matrices of ``mrbleib.cohomology`` are compared against.
+only once, as row blocks of sparse terms that both its matrices and its
+evaluators consume; the differential matrices here are built by basis
+evaluation instead: column by column, evaluating these formulas on every
+basis cochain and flattening the image.  This is slow, but it shares no
+code with the package, so it is the oracle the matrices and evaluators of
+``mrbleib.cohomology`` are compared against.
 """
 
 import itertools

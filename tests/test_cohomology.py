@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -326,13 +327,15 @@ def test_cochain_vec_round_trip():
 
 
 def test_cone_matrix_matches_apply():
-    rep = regular_rep(AFF, ROT)
     rng = random.Random(9)
-    for n in (0, 1, 2):
-        mat = cone_differential(AFF, ROT, rep, n)
-        vec = tuple(F(rng.randrange(-2, 3)) for _ in range(cone_space_dim(2, 2, n)))
-        cone = vec_to_cone(vec, 2, 2, n)
-        assert mat.apply(vec) == cone_to_vec(apply_cone(AFF, ROT, rep, cone))
+    for name, alg, ctx, rep in ASSEMBLY_CASES:
+        for n in (0, 1, 2):
+            mat = cone_differential(alg, ctx, rep, n)
+            vec = tuple(
+                F(rng.randrange(-2, 3)) for _ in range(cone_space_dim(rep.dim_v, alg.dim, n))
+            )
+            cone = vec_to_cone(vec, rep.dim_v, alg.dim, n)
+            assert mat.apply(vec) == cone_to_vec(apply_cone(alg, ctx, rep, cone)), (name, n)
 
 
 ASSEMBLY_CASES = MRB_FIXTURES + [
@@ -411,28 +414,46 @@ def test_negative_max_degree_is_rejected():
         cohomology_dimensions(G3, regular_rep(G3), max_degree=-1)
 
 
-@pytest.mark.parametrize("name, alg, ctx, rep", ASSEMBLY_CASES, ids=[c[0] for c in ASSEMBLY_CASES])
-def test_evaluators_match_the_reference_formulas(name, alg, ctx, rep):
-    rng = random.Random(name)
-    derived, ind = operator_complex_pair(alg, ctx, rep)
-    for n in range(3):
-        cells = [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(rep.dim_v * alg.dim ** n)]
-        f = vec_to_cochain(cells, rep.dim_v, alg.dim, n)
-        assert apply_delta(alg, rep, f) == reference.apply_delta(alg, rep, f), n
-        assert apply_delta(derived, ind, f) == reference.apply_delta(derived, ind, f), n
-        assert apply_phi(alg, ctx, rep, f) == reference.apply_phi(alg, ctx, rep, f), n
+# three copies of sl2, each split as in SL2_ROT (K = +1 on e, h and -1 on f)
+SL2_CUBED = LeibnizAlgebra(
+    9, [(i + t, j + t, k + t, c) for t in (0, 3, 6) for (i, j, k), c in SL2.entries]
+)
+SL2_CUBED_K = OperatorContext(
+    Matrix([[F(-1 if i % 3 == 1 else 1) if i == j else F(0) for j in range(9)] for i in range(9)]),
+    F(-1),
+)
+
+
+def test_evaluators_do_not_assemble_the_differentials():
+    # The degree-2 delta matrix here has 6561 x 729 cells (over 38 MB of
+    # pointers alone); evaluating one cone cochain must stay far below that.
+    rep = regular_rep(SL2_CUBED, SL2_CUBED_K)
+    cone = ConeCochain(bracket_cochain(SL2_CUBED), operator_cochain(SL2_CUBED_K.operator))
+    tracemalloc.start()
+    try:
+        image = apply_cone(SL2_CUBED, SL2_CUBED_K, rep, cone)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    derived, ind = operator_complex_pair(SL2_CUBED, SL2_CUBED_K, rep)
+    expected = reference.apply_delta(SL2_CUBED, rep, cone.leib)
+    assert image.leib == expected
+    expected = -reference.apply_phi(SL2_CUBED, SL2_CUBED_K, rep, cone.leib)
+    expected = expected - reference.apply_delta(derived, ind, cone.op)
+    assert image.op == expected
 
 
 def test_cochain_entries_invert_cochain_from_entries():
     entries = [((1, 2), 1, F(1, 2)), ((2, 1), 2, F(-3)), ((1, 2), 2, F(4)), ((3, 3), 1, F(7))]
     c = cochain_from_entries(2, 3, 2, entries)
     # flat column order, then fiber row
-    assert list(cochain_entries(c)) == [entries[0], entries[2], entries[1], entries[3]]
-    assert cochain_from_entries(2, 3, 2, cochain_entries(c)) == c
-    assert list(cochain_entries(zero_cochain(2, 3, 2))) == []
-    assert list(cochain_entries(Cochain(0, Matrix([[0], [5]])))) == [((), 2, F(5))]
+    assert list(cochain_entries(c, 3)) == [entries[0], entries[2], entries[1], entries[3]]
+    assert cochain_from_entries(2, 3, 2, cochain_entries(c, 3)) == c
+    assert list(cochain_entries(zero_cochain(2, 3, 2), 3)) == []
+    assert list(cochain_entries(Cochain(0, Matrix([[0], [5]])), 3)) == [((), 2, F(5))]
     # a repeated key adds up
-    assert list(cochain_entries(cochain_from_entries(1, 2, 1, [((2,), 1, 1), ((2,), 1, 2)]))) == [
+    assert list(cochain_entries(cochain_from_entries(1, 2, 1, [((2,), 1, 1), ((2,), 1, 2)]), 2)) == [
         ((2,), 1, F(3))
     ]
     for a in (0, 3):
@@ -445,7 +466,7 @@ def test_cochains_of_a_zero_dimensional_module_keep_their_columns():
         cols = 3 ** degree
         assert cochain_from_entries(0, 3, degree, []).values.cols == cols
         assert vec_to_cochain((), 0, 3, degree).values.cols == cols
-        assert list(cochain_entries(zero_cochain(0, 3, degree))) == []
+        assert list(cochain_entries(zero_cochain(0, 3, degree), 3)) == []
 
 
 AFF_ID = OperatorContext(Matrix.identity(2), F(-1))
