@@ -17,17 +17,24 @@ coordinate tuple, and drops residuals that cancel to zero, exactly as an
 evaluation on every basis pair would (``tests/reference.py`` keeps that
 evaluation as the oracle).  ``leibniz_defect`` still evaluates every basis
 triple.
+
+``grid_search_operators`` builds no candidate matrix and calls no checker:
+it compiles the modified identity once into polynomials in the entries of K
+and prunes a depth-first search with them.  Its solutions come in the order
+of enumerating every candidate (``tests/reference.py`` keeps that
+enumeration, one ``mrb_defect`` per candidate, as the oracle).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
+    InvalidArgument,
     NotLeibniz,
     NotModifiedRotaBaxter,
     NotRotaBaxter,
@@ -331,6 +338,58 @@ def morphism_defect(
     return _collect(items)
 
 
+def _mrb_polynomials(alg: LeibnizAlgebra, weight: Fraction, pinned: dict) -> dict:
+    """The modified identity as polynomials in the entries of K.
+
+    Returns ``{(i, j, t): {monomial: coefficient}}``, coordinate t of the
+    residual at the basis pair (i, j).  A monomial is the sorted tuple of the
+    entries ``(row, col)`` of K it multiplies, at most two; entries in
+    ``pinned`` are multiplied into the coefficient instead.  Each constant
+    ``[e_a,e_b] = .. + c e_t`` contributes ``c K[a,i] K[b,j]`` at (i, j, t)
+    through [Ke_i,Ke_j], ``-c K[r,t] K[a,i]`` at (i, b, r) and
+    ``-c K[r,t] K[b,i]`` at (a, i, r) through K applied to
+    [Ke_i,e_b] + [e_a,Ke_i], and ``-w c`` at (a, b, t).  Coefficients that
+    cancel stay in the map as zeros.
+    """
+    polys = {}
+
+    def add(where, c, *factors):
+        mono = []
+        for e in factors:
+            v = pinned.get(e)
+            if v is None:
+                mono.append(e)
+            else:
+                c *= v
+        if c:
+            poly = polys.setdefault(where, {})
+            mono = tuple(sorted(mono))
+            poly[mono] = poly.get(mono, ZERO) + c
+
+    basis = range(1, alg.dim + 1)
+    for (a, b, t), c in alg.entries:
+        for i in basis:
+            for j in basis:
+                add((i, j, t), c, (a, i), (b, j))
+            for r in basis:
+                add((i, b, r), -c, (r, t), (a, i))
+                add((a, i, r), -c, (r, t), (b, i))
+        if weight:
+            add((a, b, t), -weight * c)
+    return polys
+
+
+def _value(terms, x) -> int:
+    """A compiled polynomial ``[(coeff, (n, ..)), ..]`` at the integer values
+    ``x[n]`` of the free entries, numbered in row-major order."""
+    s = 0
+    for c, mono in terms:
+        for n in mono:
+            c *= x[n]
+        s += c
+    return s
+
+
 def grid_search_operators(
     alg: LeibnizAlgebra,
     weight,
@@ -341,12 +400,26 @@ def grid_search_operators(
     """All matrices with entries from ``grid`` (mask entries pinned) that are
     modified Rota-Baxter operators of the given weight.
 
-    Candidates are enumerated with free positions in row-major order, each
-    running over the grid in the order given, so the output order is the
-    lexicographic one and is reproducible.
+    The solutions come in the order of enumerating the candidates with the
+    free entries in row-major order, each running over the grid in the order
+    given, so the output is the lexicographic one and is reproducible.  The
+    grid values must be distinct.  The budget bounds that candidate count,
+    ``len(grid) ** len(free)``, not the nodes the search visits.
+
+    No candidate matrix is built.  The identity is compiled once into one
+    polynomial in the free entries per residual coordinate (pinned entries
+    substituted; see ``_mrb_polynomials``), scaled to integer coefficients
+    over the grid's common denominator.  A polynomial without free entries
+    is evaluated up front.  The free entries are then assigned depth first,
+    in row-major order, with an explicit stack; each polynomial is evaluated
+    as soon as its last free entry is assigned, and a nonzero value drops
+    the whole subtree.
     """
     weight = Fraction(weight)
     grid = [Fraction(g) for g in grid]
+    if len(set(grid)) != len(grid):
+        repeated = next(g for g in grid if grid.count(g) > 1)
+        raise InvalidArgument(f"grid value {repeated} is repeated")
     d = alg.dim
     mask = {k: Fraction(v) for k, v in (mask or {}).items()}
     for (i, j) in mask:
@@ -356,13 +429,52 @@ def grid_search_operators(
     total = len(grid) ** len(free) if free else 1
     if total > budget:
         raise BudgetExceeded(f"{total} candidates exceed budget {budget}")
-    solutions = []
-    for values in itertools.product(grid, repeat=len(free)):
-        entries = dict(mask)
-        entries.update(zip(free, values))
-        candidate = Matrix(
-            [[entries[(i, j)] for j in range(1, d + 1)] for i in range(1, d + 1)]
+
+    # Scaled by den ** 2 and by the lcm of its coefficients' denominators,
+    # a polynomial takes integer values on the integers g * den, which are
+    # zero exactly when it vanishes on the grid values g.
+    den = math.lcm(*(g.denominator for g in grid))
+    values = [g.numerator * (den // g.denominator) for g in grid]
+    position = {e: n for n, e in enumerate(free)}
+    checks = [[] for _ in free]
+    for poly in _mrb_polynomials(alg, weight, mask).values():
+        terms = [
+            (c * den ** (2 - len(mono)), tuple(position[e] for e in mono))
+            for mono, c in poly.items()
+            if c
+        ]
+        if not terms:
+            continue
+        used = [n for _, mono in terms for n in mono]
+        if not used:
+            return []  # a pinned residual that no free entry can change
+        scale = math.lcm(*(c.denominator for c, _ in terms))
+        checks[max(used)].append(
+            [(c.numerator * (scale // c.denominator), mono) for c, mono in terms]
         )
-        if mrb_defect(alg, OperatorContext(candidate, weight)).is_empty:
-            solutions.append(candidate)
+
+    cells = [[mask.get((i, j)) for j in range(1, d + 1)] for i in range(1, d + 1)]
+    if not free:
+        return [Matrix._trusted(cells, d)]
+    solutions = []
+    x = [0] * len(free)
+    pick = [-1] * len(free)
+    last = len(free) - 1
+    depth = 0
+    while depth >= 0:
+        g = pick[depth] + 1
+        if g == len(grid):
+            pick[depth] = -1
+            depth -= 1
+            continue
+        pick[depth] = g
+        x[depth] = values[g]
+        if any(_value(terms, x) for terms in checks[depth]):
+            continue
+        if depth < last:
+            depth += 1
+            continue
+        for (i, j), n in zip(free, pick):
+            cells[i - 1][j - 1] = grid[n]
+        solutions.append(Matrix._trusted(cells, d))
     return solutions

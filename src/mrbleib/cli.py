@@ -157,7 +157,7 @@ def cmd_derived(doc: AlgebraDocument):
 
 def _parse_mask(text: str, dim: int) -> dict:
     """``{"entries": [[i, j, "value"], ...]}`` as a map (i, j) -> value,
-    with 1 <= i, j <= dim."""
+    with 1 <= i, j <= dim and each (i, j) at most once."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -177,6 +177,8 @@ def _parse_mask(text: str, dim: int) -> dict:
         i, j, c = item
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ParseError(f"mask entry {item!r} is outside the dimension {dim}")
+        if (i, j) in mask:
+            raise ParseError(f"mask entry {(i, j)} is given twice")
         mask[(i, j)] = parse_rational(c)
     return mask
 
@@ -186,6 +188,8 @@ def cmd_search(doc: AlgebraDocument, weight: str, grid: str, mask_text: str | No
     grid_vals = [parse_rational(g) for g in grid.split(",") if g.strip()]
     if not grid_vals:
         raise ParseError("empty grid")
+    if len(set(grid_vals)) != len(grid_vals):
+        raise ParseError(f"grid {grid!r} repeats a value")
     mask = None if mask_text is None else _parse_mask(mask_text, doc.algebra.dim)
     solutions = grid_search_operators(doc.algebra, w, grid_vals, mask, budget)
     result = {

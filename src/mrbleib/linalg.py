@@ -25,7 +25,6 @@ no rows keeps its columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels_py as _kernels
@@ -303,29 +302,6 @@ def solve_right_inverse(m: Matrix) -> Matrix:
     if s is None:
         raise NotSurjective(f"matrix of rank {rank(m)} has {m.rows} rows")
     return s
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A tuple of 1-based basis indices addressing one slot of a cochain.
-
-    The flat position uses the leftmost index as most significant digit:
-    ``flat = sum((i_t - 1) * d**(n - t))``.
-    """
-
-    arity: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.indices) != self.arity:
-            raise DimensionMismatch("arity does not match index count")
-
-    def flat(self, dim: int) -> int:
-        return flat_index(self.indices, dim)
-
-    @classmethod
-    def from_flat(cls, pos: int, arity: int, dim: int) -> "MultiIndex":
-        return cls(arity, unflatten(pos, arity, dim))
 
 
 def flat_index(indices, dim: int) -> int:

@@ -7,6 +7,10 @@ the oracle for the integer elimination kernel of ``mrbleib._kernels_py``.
 with dense vectors and matrices, the oracle for the sparse checkers of
 ``mrbleib.algebra`` and ``mrbleib.representations``.
 
+``grid_search_operators`` enumerates every candidate matrix of a grid
+search and keeps those that ``mrb_defect`` passes, the oracle for the
+compiled depth-first search of ``mrbleib.algebra``.
+
 ``apply_delta`` and ``apply_phi`` evaluate the defining formulas of delta
 and Phi on one cochain, column by column.  The package writes each formula
 only once, as row blocks of sparse terms that both its matrices and its
@@ -19,7 +23,8 @@ code with the package, so it is the oracle the matrices and evaluators of
 
 import itertools
 
-from mrbleib.algebra import DefectReport, _basis, _check_dims, _collect
+from mrbleib import algebra
+from mrbleib.algebra import DefectReport, OperatorContext, _basis, _check_dims, _collect
 from mrbleib.cohomology import (
     Cochain,
     cochain_to_vec,
@@ -274,3 +279,22 @@ def rep_defect(alg, rep) -> DefectReport:
             items.append(_matrix_defects("right-right", (i, j), rb - (li @ rj + rj @ ri)))
             items.append(_matrix_defects("right-absorb", (i, j), rj @ (li + ri)))
     return _collect(items)
+
+
+def grid_search_operators(alg, weight, grid, mask=None):
+    """Every matrix with entries from ``grid`` (``mask`` entries pinned) that
+    passes ``mrb_defect``, the free entries enumerated in row-major order,
+    each over the grid in the order given."""
+    d = alg.dim
+    mask = mask or {}
+    free = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1) if (i, j) not in mask]
+    solutions = []
+    for values in itertools.product(grid, repeat=len(free)):
+        entries = dict(mask)
+        entries.update(zip(free, values))
+        candidate = Matrix(
+            [[entries[(i, j)] for j in range(1, d + 1)] for i in range(1, d + 1)]
+        )
+        if algebra.mrb_defect(alg, OperatorContext(candidate, weight)).is_empty:
+            solutions.append(candidate)
+    return solutions

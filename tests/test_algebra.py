@@ -2,7 +2,9 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from fixtures import AFF, G3, K0, KZ, MRB_FIXTURES, ROT, SL2, SL2_ID, Z1, Z1_K
 from mrbleib.algebra import (
     Defect,
@@ -19,6 +21,7 @@ from mrbleib.algebra import (
 from mrbleib.errors import (
     BudgetExceeded,
     DimensionMismatch,
+    InvalidArgument,
     NotModifiedRotaBaxter,
     NotRotaBaxter,
 )
@@ -189,6 +192,74 @@ def test_grid_search_degenerate_and_budget():
     assert grid_search_operators(AFF, F(0), [F(0)]) == [Matrix.zeros(2, 2)]
     with pytest.raises(BudgetExceeded):
         grid_search_operators(G3, F(0), [F(0), F(1)], budget=10)
+
+
+def test_grid_search_rejects_a_repeated_grid_value():
+    for grid in ([F(0), F(0)], [F(1), F(-1), F(2, 2)]):
+        with pytest.raises(InvalidArgument):
+            grid_search_operators(G3, F(0), grid)
+
+
+fractions = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def searches(draw):
+    """A grid search on an algebra of dim 0-3 with fractional constants (not
+    necessarily Leibniz): an unsorted grid of distinct fractions, a weight
+    that is often -g**2 for a grid value g (so g * id is a solution), and a
+    random mask; at most 243 candidates, for the oracle's sake."""
+    d = draw(st.integers(0, 3))
+    index = st.integers(1, max(d, 1))
+    keys = draw(st.lists(st.tuples(index, index, index), unique=True, max_size=2 * d))
+    alg = LeibnizAlgebra(d, [(i, j, k, draw(fractions)) for i, j, k in keys])
+    grid = draw(st.lists(fractions, min_size=1, max_size=3, unique=True))
+    weight = draw(st.one_of(fractions, st.sampled_from(grid).map(lambda g: -g * g)))
+    cells = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
+    most = max(f for f in range(len(cells) + 1) if len(grid) ** f <= 243)
+    free = draw(st.sets(st.sampled_from(cells), max_size=most)) if cells else set()
+    pins = st.one_of(st.sampled_from(grid), fractions)
+    mask = {c: draw(pins) for c in cells if c not in free}
+    return alg, weight, grid, mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(searches())
+def test_grid_search_matches_the_enumeration_oracle(search):
+    alg, weight, grid, mask = search
+    solutions = grid_search_operators(alg, weight, grid, mask)
+    assert solutions == reference.grid_search_operators(alg, weight, grid, mask)
+    for m in solutions:
+        assert mrb_defect(alg, OperatorContext(m, weight)).is_empty
+
+
+def test_grid_search_one_value_grid_in_dimension_forty():
+    # 1600 free entries: far deeper than Python's recursion limit
+    d = 40
+    alg = LeibnizAlgebra(d, [(1, 1, d, 1)])
+    assert grid_search_operators(alg, F(0), [F(0)]) == [Matrix.zeros(d, d)]
+    for weight, grid in ((F(-1), [F(0)]), (F(0), [F(1)]), (F(-1), [F(1, 2)])):
+        assert grid_search_operators(alg, weight, grid) == reference.grid_search_operators(
+            alg, weight, grid
+        ) == []
+    # the diagonal pinned to 1 and 1560 free entries over {0}: K = id, weight -1
+    diagonal = {(i, i): F(1) for i in range(1, d + 1)}
+    assert grid_search_operators(alg, F(-1), [F(0)], diagonal) == [Matrix.identity(d)]
+
+
+def test_grid_search_with_every_entry_pinned():
+    pinned = {(i + 1, j + 1): K0.operator[i, j] for i in range(3) for j in range(3)}
+    assert grid_search_operators(G3, F(1), [F(0), F(1)], pinned) == [K0.operator]
+    assert grid_search_operators(G3, F(7), [F(0), F(1)], pinned) == []
+    # the grid plays no part, but still has to be well formed
+    with pytest.raises(InvalidArgument):
+        grid_search_operators(G3, F(1), [F(1), F(1)], pinned)
+
+
+def test_grid_search_in_dimension_zero():
+    zero = LeibnizAlgebra(0, [])
+    assert grid_search_operators(zero, F(5), [F(0), F(1)]) == [Matrix.zeros(0, 0)]
+    assert grid_search_operators(zero, F(5), []) == [Matrix.zeros(0, 0)]
 
 
 def test_all_fixtures_satisfy_their_axioms():

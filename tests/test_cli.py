@@ -239,6 +239,24 @@ def test_malformed_mask_is_usage_error(tmp_path, capsys, mask):
     assert captured.out == "" and captured.err.startswith("mrbleib:")
 
 
+def test_repeated_mask_entry_is_usage_error(tmp_path, capsys):
+    doc = write(tmp_path, "g3.json", G3_DOC)
+    mask = {"entries": [[1, 1, "0"], [2, 1, "0"], [1, 1, "1"]]}
+    mask_path = write(tmp_path, "mask.json", json.dumps(mask))
+    code = main(["search", doc, "--weight", "1", "--grid", "0,1", "--mask", mask_path])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "(1, 1)" in captured.err
+
+
+@pytest.mark.parametrize("grid", ["0,0", "1,,1", "-1,0,2/2,1"])
+def test_repeated_grid_value_is_usage_error(tmp_path, capsys, grid):
+    doc = write(tmp_path, "g3.json", G3_DOC)
+    assert main(["search", doc, "--weight", "0", f"--grid={grid}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("mrbleib:")
+
+
 def test_negative_max_degree_is_usage_error(tmp_path, capsys):
     doc = write(tmp_path, "g3.json", G3_DOC)
     assert main(["cohomology", doc, "--max-degree", "-1"]) == 2

@@ -8,7 +8,6 @@ from mrbleib import _kernels_py
 from mrbleib.errors import DimensionMismatch, NotSurjective, ParseError
 from mrbleib.linalg import (
     Matrix,
-    MultiIndex,
     flat_index,
     format_rational,
     kernel_basis,
@@ -250,8 +249,6 @@ def test_multi_index_flat_formula():
     assert flat_index((1, 2), 3) == 1
     assert flat_index((2, 1), 3) == 3
     assert flat_index((3, 3, 3), 3) == 26
-    assert MultiIndex(2, (2, 3)).flat(3) == 5
-    assert MultiIndex.from_flat(5, 2, 3) == MultiIndex(2, (2, 3))
 
 
 @settings(max_examples=80, deadline=None)
