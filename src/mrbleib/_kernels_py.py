@@ -1,22 +1,27 @@
-"""Exact elimination and multiplication kernels.
+"""Exact elimination over sparse integer rows.
 
-``rref`` eliminates on integers.  Each row is scaled once by the lcm of its
-denominators, so the working matrix holds only ``int``s.  Clearing the entry
-``v`` of a row against the pivot ``piv`` uses the fraction-free step
+A row is a dict column -> nonzero value that never stores a zero.  Each
+rational row is scaled once by the lcm of its denominators and divided by
+the gcd of its entries (its content), so elimination runs on ``int``s only.
+Clearing the entry ``v`` of a row against the pivot ``piv`` of a pivot row
+uses the fraction-free step
 
     row = (piv/g) * row - (v/g) * prow,    g = gcd(piv, v),
 
-whose subtraction runs only over the columns where the pivot row is
-nonzero.  The updated row is then divided by the gcd of its entries (its
-content) to keep coefficients small (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
-Rows are only ever scaled by nonzero integers, so their spans never change,
-and the entries become ``Fraction``s once, when each reduced row is divided
-by its pivot at output.  The reduced row echelon form of a rational matrix
-is unique, so the result does not depend on the pivoting order.
+which touches only the columns where the two rows are nonzero; the updated
+row is divided by its content again to keep coefficients small (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968).  Rows are only ever scaled by nonzero
+integers, so their spans never change.
 
-``matmul`` multiplies ``Fraction`` rows directly, skipping zero entries,
-which suits the sparse products of the cochain differentials.
+``echelon`` is the forward pass: it takes the rows shortest first and
+reduces each one against the pivot rows found so far, always at its
+leading (smallest) column, until it is zero or its leading column has no
+pivot row yet and it becomes one.  The number of pivot rows is the rank.
+``rref`` adds the back-substitution and divides each row by its pivot.
+The reduced row echelon form of a rational matrix is unique, so no result
+depends on the order in which rows are taken (Dumas & Villard, "Computing
+the rank of large sparse matrices over finite fields", CASC 2002).
 """
 
 from fractions import Fraction
@@ -25,93 +30,86 @@ from math import gcd, lcm
 _ZERO = Fraction(0)
 
 
+def _primitive(row):
+    """An integer row divided by its content."""
+    content = gcd(*row.values())
+    if content > 1:
+        return {c: x // content for c, x in row.items()}
+    return row
+
+
 def _integer_row(row):
-    """The row times the lcm of its denominators, as ints.
+    """A nonzero rational row times the lcm of its denominators, divided by
+    its content."""
+    den = lcm(*[v.denominator for v in row.values()])
+    return _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
 
-    Only nonzero entries are asked for their denominator: the differentials
-    are sparse, and each read of ``numerator`` or ``denominator`` is a
-    Python-level property call.
+
+def _eliminate(row, prow, pc):
+    """``row`` with its entry at ``pc`` cleared against ``prow``, whose entry
+    at ``pc`` is its pivot; divided by its content."""
+    piv = prow[pc]
+    v = row[pc]
+    g = gcd(piv, v)
+    fa = piv // g
+    fb = v // g
+    out = {c: fa * x for c, x in row.items()} if fa != 1 else dict(row)
+    for c, p in prow.items():
+        x = out.get(c, 0) - fb * p
+        if x:
+            out[c] = x
+        else:
+            del out[c]
+    return _primitive(out)
+
+
+def echelon(rows):
+    """Forward elimination of sparse rational rows.
+
+    Returns ``{pivot column: integer row}``: rows spanning the same space
+    whose leading columns are their distinct pivot columns.  Its length is
+    the rank.
     """
-    nums = [e.numerator for e in row]
-    den = lcm(*[row[c].denominator for c, p in enumerate(nums) if p])
-    if den == 1:
-        return nums
-    return [p * (den // row[c].denominator) if p else 0 for c, p in enumerate(nums)]
+    pivots = {}
+    for row in sorted((_integer_row(r) for r in rows if r), key=len):
+        while row:
+            pc = min(row)
+            prow = pivots.get(pc)
+            if prow is None:
+                # a positive pivot scales the rows cleared against it only
+                # when it does not divide their entry
+                if row[pc] < 0:
+                    row = {c: -x for c, x in row.items()}
+                pivots[pc] = row
+                break
+            row = _eliminate(row, prow, pc)
+    return pivots
 
 
-def rref(rows):
-    """Reduced row echelon form of a list-of-rows rational matrix.
+def rref(rows, cols):
+    """Reduced row echelon form of sparse rational rows with ``cols`` columns.
 
-    Returns ``(reduced_rows, pivot_cols)``.  Pivot rows come first in pivot
-    order, zero rows last; every pivot entry is 1 and is the only nonzero
-    entry in its column.  Pivot selection favors the smallest absolute
-    value to curb coefficient growth (the result does not depend on it).
+    Returns ``(reduced_rows, pivot_cols)``: dense rows of ``Fraction``s, the
+    pivot rows first in pivot order and then the zero rows, every pivot entry
+    1 and the only nonzero entry in its column.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    mat = [_integer_row(row) for row in rows]
-    pivots = []
-    pr = 0
-    for pc in range(n):
-        best = -1
-        best_abs = 0
-        for r in range(pr, m):
-            v = mat[r][pc]
-            if v and (best < 0 or abs(v) < best_abs):
-                best, best_abs = r, abs(v)
-        if best < 0:
-            continue
-        if best != pr:
-            mat[pr], mat[best] = mat[best], mat[pr]
-        prow = mat[pr]
-        piv = prow[pc]
-        # rows pr.. are zero left of pc, so the pivot row is too
-        support = [(c, prow[c]) for c in range(pc, n) if prow[c]]
-        for r in range(m):
-            if r == pr:
-                continue
-            row = mat[r]
-            v = row[pc]
-            if not v:
-                continue
-            g = gcd(piv, v)
-            fa = piv // g
-            fb = v // g
-            if fa != 1:
-                row = [fa * x for x in row]
-            for c, p in support:
-                row[c] -= fb * p
-            content = gcd(*row)
-            if content > 1:
-                row = [x // content for x in row]
-            mat[r] = row
-        pivots.append(pc)
-        pr += 1
-        if pr == m:
-            break
+    forward = echelon(rows)
+    pivots = sorted(forward)
+    reduced = {}
+    # last pivot first: the rows already reduced are zero at every other
+    # pivot column, so clearing one pivot column brings in no other
+    for pc in reversed(pivots):
+        row = forward[pc]
+        for c in [c for c in row if c in reduced]:
+            row = _eliminate(row, reduced[c], c)
+        reduced[pc] = row
     out = []
-    for r, pc in enumerate(pivots):
-        piv = mat[r][pc]
-        out.append([Fraction(v, piv) if v else _ZERO for v in mat[r]])
-    out.extend([_ZERO] * n for _ in range(m - len(pivots)))
+    for pc in pivots:
+        row = reduced[pc]
+        piv = row[pc]
+        dense = [_ZERO] * cols
+        for c, x in row.items():
+            dense[c] = Fraction(x, piv)
+        out.append(dense)
+    out.extend([_ZERO] * cols for _ in range(len(rows) - len(pivots)))
     return out, pivots
-
-
-def matmul(a, b, n):
-    """Product of two list-of-rows rational matrices, skipping zero entries;
-    ``b`` has ``n`` columns."""
-    m = len(a)
-    inner = len(b)
-    out = [[_ZERO] * n for _ in range(m)]
-    for i in range(m):
-        arow = a[i]
-        orow = out[i]
-        for t in range(inner):
-            v = arow[t]
-            if v:
-                brow = b[t]
-                for j in range(n):
-                    w = brow[j]
-                    if w:
-                        orow[j] += v * w
-    return out

@@ -455,7 +455,7 @@ def grid_search_operators(
 
     cells = [[mask.get((i, j)) for j in range(1, d + 1)] for i in range(1, d + 1)]
     if not free:
-        return [Matrix._trusted(cells, d)]
+        return [Matrix._dense(cells, d)]
     solutions = []
     x = [0] * len(free)
     pick = [-1] * len(free)
@@ -476,5 +476,5 @@ def grid_search_operators(
             continue
         for (i, j), n in zip(free, pick):
             cells[i - 1][j - 1] = grid[n]
-        solutions.append(Matrix._trusted(cells, d))
+        solutions.append(Matrix._dense(cells, d))
     return solutions

@@ -17,15 +17,16 @@ vector, entry (x, b) of a cochain sits at position flat(x) * dim V + b.
 Each differential formula is written once, as a generator of row blocks
 (``_delta_blocks``, ``_phi_blocks``): for every output multi-index y it lists
 the sparse terms of the image at y, i.e. the nonzero entries of
-rho_L(y_i), rho_R(y_{n+1}) and the structure constants (delta), or of K on
-the unselected slots of every slot subset, with K_V on odd subsets (Phi),
-each at the cochain column it reads.  ``delta_matrix`` and ``phi_matrix``
-write these terms into rows; ``apply_delta`` and ``apply_phi`` multiply them
+rho_L(y_i), rho_R(y_{n+1}) and the structure constants (delta), or of the
+products of K over the slots outside a slot subset, summed per subset size,
+with K_V on odd sizes (Phi), each at the cochain column it reads.
+``delta_matrix`` and ``phi_matrix`` write these terms straight into the
+sparse rows of a ``Matrix``; ``apply_delta`` and ``apply_phi`` multiply them
 against one cochain without building a matrix, so evaluating a cochain
 costs about as many operations as the matrix has nonzeros.  The cone
-matrix is written in one pass from its blocks.  The tests compare the
-assembly with an independent per-cochain evaluation of the formulas
-(``tests/reference.py``) on every basis cochain.
+matrix joins the rows of delta, -Phi and -partial by shifting column keys.
+The tests compare the assembly with an independent per-cochain evaluation
+of the formulas (``tests/reference.py``) on every basis cochain.
 
 Sparse entries ((i_1..i_n), a, value), 1-based, are the document format of
 a cochain: ``cochain_from_entries`` reads them and ``cochain_entries``
@@ -40,7 +41,17 @@ from fractions import Fraction
 
 from .algebra import LeibnizAlgebra, OperatorContext, derived_algebra, leibniz_defect
 from .errors import BudgetExceeded, DimensionMismatch, InvalidArgument, NotAComplex, NotLeibniz
-from .linalg import Matrix, ZERO, ONE, flat_index, rank, kernel_basis, solve_with_free_zero, unflatten
+from .linalg import (
+    Matrix,
+    ZERO,
+    ONE,
+    add_entry,
+    flat_index,
+    rank,
+    kernel_basis,
+    solve_with_free_zero,
+    unflatten,
+)
 from .representations import Representation, induced_rep
 
 # Weight convention for the comparison map Phi, degree n >= 1:
@@ -115,25 +126,19 @@ def zero_cochain(dim_v: int, alg_dim: int, degree: int) -> Cochain:
 def cochain_from_entries(dim_v: int, alg_dim: int, degree: int, entries) -> Cochain:
     """Build a cochain from sparse entries ((i_1..i_n), a, value), 1-based;
     the values of a repeated key add up."""
-    cols = alg_dim ** degree
-    grid = [[ZERO] * cols for _ in range(dim_v)]
+    rows = [{} for _ in range(dim_v)]
     for indices, a, c in entries:
         if not 1 <= a <= dim_v:
             raise DimensionMismatch(f"fiber index {a} out of range 1..{dim_v}")
-        grid[a - 1][flat_index(indices, alg_dim)] += Fraction(c)
-    return Cochain(degree, Matrix._trusted(grid, cols))
+        add_entry(rows[a - 1], flat_index(indices, alg_dim), Fraction(c))
+    return Cochain(degree, Matrix._sparse(rows, alg_dim ** degree))
 
 
 def cochain_entries(c: Cochain, alg_dim: int):
     """The nonzero entries of c as ((i_1..i_n), a, value), 1-based, in flat
     column order and then fiber row; the inverse of ``cochain_from_entries``."""
-    vals, n = c.values, c.degree
-    for m in range(vals.cols):
-        indices = unflatten(m, n, alg_dim)
-        for a in range(vals.rows):
-            v = vals[a, m]
-            if v:
-                yield indices, a + 1, v
+    for m, a, v in sorted((m, a, v) for a, m, v in c.values.nonzeros()):
+        yield unflatten(m, c.degree, alg_dim), a + 1, v
 
 
 def bracket_cochain(alg: LeibnizAlgebra) -> Cochain:
@@ -151,9 +156,10 @@ def operator_cochain(op: Matrix) -> Cochain:
 def cochain_to_vec(c: Cochain) -> tuple[Fraction, ...]:
     """Flatten columnwise: position = flat_multi_index * dim_v + row."""
     vals = c.values
-    return tuple(
-        vals[v, m] for m in range(vals.cols) for v in range(vals.rows)
-    )
+    vec = [ZERO] * (vals.rows * vals.cols)
+    for a, m, v in vals.nonzeros():
+        vec[m * vals.rows + a] = v
+    return tuple(vec)
 
 
 def vec_to_cochain(vec, dim_v: int, alg_dim: int, degree: int) -> Cochain:
@@ -162,8 +168,11 @@ def vec_to_cochain(vec, dim_v: int, alg_dim: int, degree: int) -> Cochain:
     cols = alg_dim ** degree
     if len(vec) != dim_v * cols:
         raise DimensionMismatch("vector length does not match cochain space")
-    grid = [[vec[m * dim_v + v] for m in range(cols)] for v in range(dim_v)]
-    return Cochain(degree, Matrix._trusted(grid, cols))
+    rows = [{} for _ in range(dim_v)]
+    for pos, v in enumerate(vec):
+        if v:
+            rows[pos % dim_v][pos // dim_v] = v
+    return Cochain(degree, Matrix._sparse(rows, cols))
 
 
 def _flat(indices, d: int) -> int:
@@ -174,23 +183,32 @@ def _flat(indices, d: int) -> int:
     return pos
 
 
-def _add(row, pos: int, v: Fraction):
-    """row[pos] += v, skipping the Fraction addition into an empty cell."""
-    old = row[pos]
-    row[pos] = old + v if old else v
-
-
 def _assemble(blocks, dim_v: int, cols: int) -> Matrix:
     """The matrix whose t-th row block (dim_v rows) sums the t-th block's
-    terms: each (base, nz) adds v at (a, base + b) for every (a, b, v) in nz."""
+    terms: each (base, nz) adds v at (a, base + b) for every (a, b, v) in nz.
+
+    Every term value is nonzero, so only a sum can cancel, and a cancelled
+    entry is removed at once: the rows never hold a zero.  This is
+    ``add_entry`` written out, since a call per term made assembly about a
+    third slower."""
     rows = []
     for terms in blocks:
-        block = [[ZERO] * cols for _ in range(dim_v)]
+        block = [{} for _ in range(dim_v)]
         for base, nz in terms:
             for a, b, v in nz:
-                _add(block[a], base + b, v)
+                row = block[a]
+                pos = base + b
+                old = row.get(pos)
+                if old is None:
+                    row[pos] = v
+                else:
+                    v += old
+                    if v:
+                        row[pos] = v
+                    else:
+                        del row[pos]
         rows.extend(block)
-    return Matrix._trusted(rows, cols)
+    return Matrix._sparse(rows, cols)
 
 
 def _evaluate(blocks, f: Cochain, dim_v: int, alg_dim: int, degree: int) -> Cochain:
@@ -199,16 +217,14 @@ def _evaluate(blocks, f: Cochain, dim_v: int, alg_dim: int, degree: int) -> Coch
     if f.values.rows != dim_v or f.values.cols != alg_dim ** f.degree:
         raise DimensionMismatch("cochain shape does not match algebra and module")
     vec = cochain_to_vec(f)
-    out = []
-    for terms in blocks:
-        acc = [ZERO] * dim_v
+    rows = [{} for _ in range(dim_v)]
+    for m, terms in enumerate(blocks):
         for base, nz in terms:
             for a, b, v in nz:
                 x = vec[base + b]
                 if x:
-                    _add(acc, a, v * x)
-        out.extend(acc)
-    return vec_to_cochain(out, dim_v, alg_dim, degree)
+                    add_entry(rows[a], m, v * x)
+    return Cochain(degree, Matrix._sparse(rows, alg_dim ** degree))
 
 
 def _delta_blocks(alg: LeibnizAlgebra, rep: Representation, n: int):
@@ -295,38 +311,39 @@ def _phi_blocks(alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, 
     For row block y and each slot subset S with a nonzero weight, the
     columns x with x_i = y_i on S and K[x_i, y_i] != 0 off S receive
     w(|S|) * prod K[x_i, y_i], times K_V when |S| is odd and times the
-    identity when it is even (see PHI_CONVENTION).
+    identity when it is even (see PHI_CONVENTION).  The subsets are never
+    listed: the products are summed slot by slot, keyed by (column prefix,
+    size of S so far), and w and K_V are applied once at the end, so a block
+    costs (n + 1) times its columns per slot at most, not 2^n.
     """
     d = alg.dim
     dim_v = rep.dim_v
     k = ctx.operator
     knz = [[(r, k[r, j]) for r in range(d) if k[r, j]] for j in range(d)]
     kv = rep.k_v.nonzeros()
-    subsets = []
-    for mask in range(1 << n):
-        r = bin(mask).count("1")
-        w = phi_weight(r, ctx.weight)
-        if w:
-            subsets.append((mask, w, r % 2 == 1))
+    weights = [phi_weight(r, ctx.weight) for r in range(n + 1)]
+    # subsets larger than this have weight zero (weight 0 leaves sizes 0, 1)
+    largest = max(r for r, w in enumerate(weights) if w)
     for y in itertools.product(range(d), repeat=n):
+        acc = {(0, 0): ONE}
+        for slot in y:
+            step = {}
+            for (pos, r), c in acc.items():
+                pos *= d
+                if r < largest:
+                    key = (pos + slot, r + 1)
+                    step[key] = step[key] + c if key in step else c
+                for x, kx in knz[slot]:
+                    key = (pos + x, r)
+                    step[key] = step[key] + c * kx if key in step else c * kx
+            acc = step
         even = {}
         odd = {}
-        for mask, w, is_odd in subsets:
-            choices = [
-                ((y[slot], None),) if mask >> slot & 1 else knz[y[slot]]
-                for slot in range(n)
-            ]
-            if not all(choices):
-                continue
-            acc = odd if is_odd else even
-            for combo in itertools.product(*choices):
-                coeff = w
-                pos = 0
-                for idx, val in combo:
-                    if val is not None:
-                        coeff *= val
-                    pos = pos * d + idx
-                acc[pos] = acc[pos] + coeff if pos in acc else coeff
+        for (pos, r), c in acc.items():
+            c *= weights[r]
+            if c:
+                out = odd if r % 2 else even
+                out[pos] = out[pos] + c if pos in out else c
         terms = [
             (pos * dim_v, [(b, b, c) for b in range(dim_v)]) for pos, c in even.items() if c
         ]
@@ -421,10 +438,6 @@ def apply_cone(
     return ConeCochain(top, bottom)
 
 
-def _negated(row) -> tuple[Fraction, ...]:
-    return tuple(-e if e else ZERO for e in row)
-
-
 def cone_differential(
     alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, n: int
 ) -> Matrix:
@@ -434,24 +447,12 @@ def cone_differential(
     (delta f, -partial g - phi f).
     """
     if n == 0:
-        top = delta_matrix(alg, rep, 0)
-        ident = phi_matrix(alg, ctx, rep, 0)
-        return Matrix._trusted(
-            [top.row(i) for i in range(top.rows)]
-            + [_negated(ident.row(i)) for i in range(ident.rows)],
-            top.cols,
-        )
+        return delta_matrix(alg, rep, 0).vstack(-phi_matrix(alg, ctx, rep, 0))
     derived, ind = operator_complex_pair(alg, ctx, rep)
     delta_n = delta_matrix(alg, rep, n)
-    phi_n = phi_matrix(alg, ctx, rep, n)
     partial_prev = delta_matrix(derived, ind, n - 1)
-    pad = (ZERO,) * partial_prev.cols
-    rows = [delta_n.row(i) + pad for i in range(delta_n.rows)]
-    rows.extend(
-        _negated(phi_n.row(i)) + _negated(partial_prev.row(i))
-        for i in range(phi_n.rows)
-    )
-    return Matrix._trusted(rows, delta_n.cols + partial_prev.cols)
+    bottom = -(phi_matrix(alg, ctx, rep, n).hstack(partial_prev))
+    return delta_n.hstack(Matrix.zeros(delta_n.rows, partial_prev.cols)).vstack(bottom)
 
 
 @dataclass(frozen=True)

@@ -66,11 +66,11 @@ def _parse_matrix(obj, rows: int, cols: int, what: str) -> Matrix:
     for row in obj:
         _require(isinstance(row, list) and len(row) == cols, f"{what}: expected {cols} columns")
         grid.append([parse_rational(e) for e in row])
-    return Matrix._trusted(grid, cols)
+    return Matrix._dense(grid, cols)
 
 
 def _matrix_json(m: Matrix):
-    return [[format_rational(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [[format_rational(e) for e in row] for row in m.to_lists()]
 
 
 def _cochain_json(c: Cochain, alg_dim: int):

@@ -1,26 +1,30 @@
-"""Exact rational scalars, dense matrices and the rank/kernel/solve core.
+"""Exact rational scalars, sparse matrices and the rank/kernel/solve core.
 
 Scalars are ``fractions.Fraction`` throughout: every computation in this
 package is exact, nothing is ever rounded.  A linear map from a space of
 dimension ``a`` to one of dimension ``b`` is a ``b x a`` matrix whose
 column ``j`` is the image of the ``j``-th basis vector.
 
-Elimination (rank, kernel, solve) runs in one kernel, ``_kernels_py.rref``.
-It scales each row by the lcm of its denominators, eliminates with the
-fraction-free integer step ``row = (piv/g)*row - (v/g)*prow`` over the pivot
-row's nonzero columns, divides every updated row by its content, and makes
-``Fraction``s only when it writes the reduced rows.  The reduced echelon
-form is unique, so results never depend on the pivoting order.  Products
-use the zero-skipping ``Fraction`` ``_kernels_py.matmul``.
+A ``Matrix`` stores each row sparsely, as a dict column -> nonzero
+``Fraction``; a zero is never stored, so two equal matrices hold equal
+rows and ``==`` and ``hash`` go by value.  ``row``, ``column``, ``[i, j]``
+and ``to_lists`` are dense views derived from the sparse rows, and
+``nonzeros()`` lists the stored entries row-major.  Sums, products and
+stacking work on the nonzeros only and drop entries that cancel.
+
+Elimination runs in one kernel, ``_kernels_py``, over sparse integer rows.
+``rank`` runs only its forward pass (``_kernels_py.echelon``); ``rref``,
+``kernel_basis`` and ``solve_with_free_zero`` add the back-substitution
+(``_kernels_py.rref``).  The reduced echelon form is unique, so results
+never depend on the pivoting order.
 
 ``Matrix(data)`` is the constructor for input from outside the package: it
 coerces every entry with ``Fraction()`` and rejects ragged rows.  Matrices
-built inside the package (arithmetic, stacking, the named constructors,
-products, echelon forms and the assembled differentials) use the private
-``Matrix._trusted(rows, cols)``, which stores rows whose entries are
-already ``Fraction`` objects as they are, without coercion or shape checks.
-The column count is passed, not read from the first row, so a matrix with
-no rows keeps its columns.
+built inside the package use the private ``Matrix._dense(rows, cols)``,
+for rows whose entries are already ``Fraction`` objects, and
+``Matrix._sparse(rows, cols)``, for dict rows that hold no zero; neither
+coerces or checks.  The column count is passed, not read from the first
+row, so a matrix with no rows keeps its columns.
 """
 
 from __future__ import annotations
@@ -68,51 +72,78 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-class Matrix:
-    """Immutable dense matrix over the rationals."""
+def add_entry(row: dict, col: int, v: Fraction):
+    """``row[col] += v`` in a sparse row, which keeps no zeros."""
+    old = row.get(col)
+    if old is not None:
+        v = old + v
+    if v:
+        row[col] = v
+    elif old is not None:
+        del row[col]
 
-    __slots__ = ("rows", "cols", "_data")
+
+def _row_sum(ra: dict, rb: dict) -> dict:
+    if not rb:
+        return ra
+    out = dict(ra)
+    for c, v in rb.items():
+        add_entry(out, c, v)
+    return out
+
+
+def _shifted(row: dict, shift: int) -> dict:
+    return {c + shift: v for c, v in row.items()}
+
+
+class Matrix:
+    """Immutable matrix over the rationals, stored as sparse rows."""
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, data):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in data)
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != self.cols:
+        rows = []
+        cols = None
+        for row in data:
+            row = [Fraction(e) for e in row]
+            if cols is None:
+                cols = len(row)
+            elif len(row) != cols:
                 raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "_data", rows)
+            rows.append({c: v for c, v in enumerate(row) if v})
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", cols or 0)
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def __setattr__(self, name, value):
-        if name in ("rows", "cols") and not hasattr(self, "_data"):
-            object.__setattr__(self, name, value)
-        elif not hasattr(self, "_data"):
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("Matrix is immutable")
+        raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _trusted(cls, rows, cols: int) -> "Matrix":
-        """Wrap rows of length ``cols`` built inside the package; every entry
-        is already a Fraction.
-
-        Nothing is coerced or checked, so outside input must use Matrix(data).
-        """
+    def _sparse(cls, rows, cols: int) -> "Matrix":
+        """Wrap dict rows (column -> nonzero Fraction) built inside the
+        package; the rows are shared, not copied, and never changed."""
         m = object.__new__(cls)
-        data = tuple(map(tuple, rows))
-        object.__setattr__(m, "rows", len(data))
+        rows = tuple(rows)
+        object.__setattr__(m, "rows", len(rows))
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_data", data)
+        object.__setattr__(m, "_rows", rows)
         return m
 
     @classmethod
+    def _dense(cls, rows, cols: int) -> "Matrix":
+        """Wrap rows of length ``cols`` built inside the package; every entry
+        is already a Fraction."""
+        return cls._sparse(
+            [{c: v for c, v in enumerate(row) if v} for row in rows], cols
+        )
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._trusted([(ZERO,) * cols] * rows, cols)
+        return cls._sparse([{}] * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._trusted(
-            [tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)], n
-        )
+        return cls._sparse([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, cols, rows: int | None = None) -> "Matrix":
@@ -121,140 +152,144 @@ class Matrix:
             if rows is None:
                 raise DimensionMismatch("from_cols with no columns needs a row count")
             return cls.zeros(rows, 0)
-        return cls._trusted(zip(*cols), len(cols))
+        out = [{} for _ in cols[0]]
+        for j, col in enumerate(cols):
+            for i, v in enumerate(col):
+                if v:
+                    out[i][j] = v
+        return cls._sparse(out, len(cols))
 
     @classmethod
     def diag_blocks(cls, *blocks: "Matrix") -> "Matrix":
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = [[ZERO] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        rows = []
+        c0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                out[r0 + i][c0:c0 + b.cols] = list(b._data[i])
-            r0 += b.rows
+            rows.extend(_shifted(r, c0) for r in b._rows)
             c0 += b.cols
-        return cls._trusted(out, cols)
+        return cls._sparse(rows, c0)
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._data[i][j]
+        if j < 0:
+            j += self.cols
+        if not 0 <= j < self.cols:
+            raise IndexError("matrix column index out of range")
+        return self._rows[i].get(j, ZERO)
 
     def row(self, i: int):
-        return self._data[i]
+        out = [ZERO] * self.cols
+        for c, v in self._rows[i].items():
+            out[c] = v
+        return tuple(out)
 
     def column(self, j: int):
-        return tuple(row[j] for row in self._data)
+        return tuple(r.get(j, ZERO) for r in self._rows)
 
     def nonzeros(self):
         """The nonzero entries as (row, column, value), 0-based, row-major."""
-        return [
-            (a, b, v) for a, row in enumerate(self._data) for b, v in enumerate(row) if v
-        ]
+        return [(a, b, r[b]) for a, r in enumerate(self._rows) for b in sorted(r)]
 
     def to_lists(self):
-        return [list(row) for row in self._data]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._data == other._data
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         body = "; ".join(
-            " ".join(format_rational(e) for e in row) for row in self._data
+            " ".join(format_rational(e) for e in row) for row in self.to_lists()
         )
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix._trusted(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
-            self.cols,
-        )
+        return Matrix._sparse(map(_row_sum, self._rows, other._rows), self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Matrix._trusted(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
-            self.cols,
-        )
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted([[-e for e in row] for row in self._data], self.cols)
+        return Matrix._sparse([{c: -v for c, v in r.items()} for r in self._rows], self.cols)
 
     def scale(self, s) -> "Matrix":
         s = Fraction(s)
-        return Matrix._trusted([[s * e for e in row] for row in self._data], self.cols)
+        if not s:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix._sparse([{c: s * v for c, v in r.items()} for r in self._rows], self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Matrix._trusted(
-            _kernels.matmul(self._data, other._data, other.cols), other.cols
-        )
+        brows = other._rows
+        out = []
+        for arow in self._rows:
+            acc = {}
+            for t, v in arow.items():
+                for j, w in brows[t].items():
+                    add_entry(acc, j, v * w)
+            out.append(acc)
+        return Matrix._sparse(out, other.cols)
 
     def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix.zeros(self.cols, 0)
-        return Matrix._trusted(zip(*self._data), self.rows)
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, v in r.items():
+                out[j][i] = v
+        return Matrix._sparse(out, self.rows)
 
     def apply(self, vec):
         """Image of a coordinate vector under the matrix.
 
-        Only products of a nonzero matrix entry and a nonzero coordinate are
-        formed, so applying a sparse matrix (an assembled differential, say)
-        costs one comparison per entry plus its nonzero products.
+        Only the stored (nonzero) entries meet the vector, and only those
+        whose coordinate is nonzero are multiplied, so applying a sparse
+        matrix (an assembled differential, say) costs one step per nonzero.
         """
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
         return tuple(
-            sum((a * v for a, v in zip(row, vec) if a and v), ZERO) for row in self._data
+            sum((a * vec[c] for c, a in r.items() if vec[c]), ZERO) for r in self._rows
         )
 
     def is_zero(self) -> bool:
-        return all(not e for row in self._data for e in row)
+        return not any(self._rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix._trusted(
-            [ra + rb for ra, rb in zip(self._data, other._data)],
+        shift = self.cols
+        return Matrix._sparse(
+            [{**ra, **_shifted(rb, shift)} if rb else ra
+             for ra, rb in zip(self._rows, other._rows)],
             self.cols + other.cols,
         )
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return Matrix._trusted(self._data + other._data, self.cols)
+        return Matrix._sparse(self._rows + other._rows, self.cols)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    reduced, pivots = _kernels.rref(m._data)
-    return Matrix._trusted(reduced, m.cols), tuple(pivots)
+    reduced, pivots = _kernels.rref(m._rows, m.cols)
+    return Matrix._dense(reduced, m.cols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the rationals, computed exactly."""
-    return len(_kernels.rref(m._data)[1])
+    """Rank over the rationals, computed exactly by forward elimination."""
+    return len(_kernels.echelon(m._rows))
 
 
 def kernel_basis(m: Matrix):
@@ -263,7 +298,7 @@ def kernel_basis(m: Matrix):
     Vectors are emitted in increasing free-column order with the free
     coordinate normalized to 1, so the output is canonical.
     """
-    reduced, pivots = _kernels.rref(m._data)
+    reduced, pivots = _kernels.rref(m._rows, m.cols)
     pivot_set = set(pivots)
     basis = []
     for c in range(m.cols):
@@ -287,13 +322,13 @@ def solve_with_free_zero(m: Matrix, rhs: Matrix) -> Matrix | None:
     if m.rows != rhs.rows:
         raise DimensionMismatch("solve shape mismatch")
     augmented = m.hstack(rhs)
-    reduced, pivots = _kernels.rref(augmented._data)
+    reduced, pivots = _kernels.rref(augmented._rows, augmented.cols)
     if any(p >= m.cols for p in pivots):
         return None
-    out = [[ZERO] * rhs.cols for _ in range(m.cols)]
+    out = [{} for _ in range(m.cols)]
     for k, pc in enumerate(pivots):
-        out[pc] = reduced[k][m.cols:]
-    return Matrix._trusted(out, rhs.cols)
+        out[pc] = {c: v for c, v in enumerate(reduced[k][m.cols:]) if v}
+    return Matrix._sparse(out, rhs.cols)
 
 
 def solve_right_inverse(m: Matrix) -> Matrix:
@@ -325,18 +360,15 @@ def unflatten(pos: int, arity: int, dim: int) -> tuple[int, ...]:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; row (i*b.rows + k), column (j*b.cols + l)."""
-    out = [[ZERO] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            s = a[i, j]
-            if not s:
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    v = b[k, l]
-                    if v:
-                        out[i * b.rows + k][j * b.cols + l] = s * v
-    return Matrix._trusted(out, a.cols * b.cols)
+    n = b.cols
+    return Matrix._sparse(
+        [
+            {j * n + l: s * v for j, s in ra.items() for l, v in rb.items()}
+            for ra in a._rows
+            for rb in b._rows
+        ],
+        a.cols * n,
+    )
 
 
 def vec_add(u, v):

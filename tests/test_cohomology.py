@@ -1,9 +1,11 @@
+import json
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as F
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from fixtures import (
     SL2_ROT,
     SL2_ROT_K,
     Z1,
+    Z1_K,
     Z1_ZERO,
 )
 import mrbleib
@@ -366,6 +369,82 @@ def test_g3_regular_degree_four_table():
     assert report.operator.cohomology_dims == (2, 4, 8, 16, 32)
     assert report.cone.cohomology_dims == (0, 3, 3, 3, 15)
     assert report.cone.differential_ranks == (3, 6, 27, 78, 231)
+
+
+# Cone ranks of G3/K0 with the regular module through degree 6, from an
+# independent weight-block computation (weights (1,0), (0,1), (2,0))
+G3_CONE_RANKS = (3, 6, 27, 78, 231, 726, 2119)
+
+
+def test_g3_regular_degree_six_table():
+    report = cohomology_dimensions(G3, regular_rep(G3, K0), K0, max_degree=6)
+    assert report.cone.differential_ranks == G3_CONE_RANKS
+    assert report.cone.cohomology_dims == (0, 3, 3, 3, 15, 15, 71)
+    assert report.leibniz.cohomology_dims == tuple(2 ** n for n in range(1, 8))
+
+
+def test_degree_five_cohomology_stays_small_in_memory():
+    # dense rows of the degree-5 cone (2916 x 972 cells and more) peak near
+    # 96 MiB; sparse rows and a forward-only rank stay under 16 MiB
+    rep = regular_rep(G3, K0)
+    tracemalloc.start()
+    try:
+        report = cohomology_dimensions(G3, rep, K0, max_degree=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cone.differential_ranks == G3_CONE_RANKS[:6]
+    assert peak < 16 * 2 ** 20, peak
+
+
+def z1_phi(n):
+    """phi_n on Z1 with K = 2, weight 3 and the regular module (K_V = 2):
+    sum over subset sizes r of C(n, r) * w(r) * 2^(n - r), times K_V = 2 on
+    odd r."""
+    return sum(
+        comb(n, r) * phi_weight(r, F(3)) * 2 ** (n - r) * (2 if r % 2 else 1)
+        for r in range(n + 1)
+    )
+
+
+def test_phi_on_z1_matches_its_closed_form():
+    assert [z1_phi(n) for n in range(5)] == [1, 0, -7, -28, -63]
+    rep = regular_rep(Z1, Z1_K)
+    for n in range(31):
+        assert phi_matrix(Z1, Z1_K, rep, n) == Matrix([[z1_phi(n)]]), n
+
+
+def test_degree_thirty_on_a_one_dimensional_algebra_finishes():
+    # every cochain space of Z1 has one cell, so the budget never fires: phi
+    # must not cost 2^n per row
+    doc = '{"field":"rational","algebra":{"dim":1,"bracket":[]},"operator":{"weight":"3","matrix":[["2"]]}}'
+    script = "import sys; from mrbleib.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(mrbleib.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script, "cohomology", "-", "--max-degree", "30"],
+        input=doc, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    cone = json.loads(out.stdout)["result"]["cone"]
+    ranks = [1] + [int(z1_phi(n) != 0) for n in range(1, 31)]
+    assert cone["differentialRanks"] == ranks
+    assert cone["cohomologyDims"] == [0] + [2 - ranks[n] - ranks[n - 1] for n in range(1, 31)]
+
+
+def test_cancelling_terms_leave_no_stored_zero():
+    # rho_R = -rho_L on Z1: the two terms of delta_1 cancel; on Z1/Z1_K the
+    # K and K_V terms of phi_1 cancel
+    one = Matrix.identity(1)
+    sym = Representation(1, (one,), (-one,), Matrix.zeros(1, 1))
+    zrep = regular_rep(Z1, Z1_K)
+    for got, expected in (
+        (delta_matrix(Z1, sym, 1), reference.delta_matrix(Z1, sym, 1)),
+        (phi_matrix(Z1, Z1_K, zrep, 1), reference.phi_matrix(Z1, Z1_K, zrep, 1)),
+        (cone_differential(Z1, Z1_K, zrep, 1), reference.cone_differential(Z1, Z1_K, zrep, 1)),
+    ):
+        assert all(v for _, _, v in got.nonzeros())
+        assert got == expected and hash(got) == hash(expected)
+    assert delta_matrix(Z1, sym, 1).nonzeros() == [] and phi_matrix(Z1, Z1_K, zrep, 1).nonzeros() == []
 
 
 # [e1,e1] = e1 fails the Leibniz identity by -e1, in dim 1 and in dim 2

@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,19 +160,60 @@ def linalg_results(m, rhs):
     return rref(m), rank(m), kernel_basis(m), solve_with_free_zero(m, rhs)
 
 
+def results_from(rref_rows, m, rhs):
+    """What ``linalg_results`` must return, read off the reduced echelon
+    forms of m and of [m | rhs] that ``rref_rows(dense_rows, cols)`` gives."""
+    rows = m.to_lists()
+    reduced, pivots = rref_rows(rows, m.cols)
+    kernel = []
+    for c in range(m.cols):
+        if c not in pivots:
+            vec = [F(0)] * m.cols
+            vec[c] = F(1)
+            for k, pc in enumerate(pivots):
+                vec[pc] = -reduced[k][c]
+            kernel.append(tuple(vec))
+    aug, aug_pivots = rref_rows([r + s for r, s in zip(rows, rhs.to_lists())], m.cols + rhs.cols)
+    solution = None
+    if all(p < m.cols for p in aug_pivots):
+        sol = [[F(0)] * rhs.cols for _ in range(m.cols)]
+        for k, pc in enumerate(aug_pivots):
+            sol[pc] = aug[k][m.cols:]
+        solution = Matrix(sol) if sol else Matrix.zeros(0, rhs.cols)
+    return (Matrix(reduced), tuple(pivots)), len(pivots), kernel, solution
+
+
+def reference_rref(rows, cols):
+    return fraction_rref(rows)
+
+
+def sympy_rref(rows, cols):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    qq = sympy.QQ
+    dm = DomainMatrix([[qq(e.numerator, e.denominator) for e in row] for row in rows],
+                      (len(rows), cols), qq)
+    red, pivots = dm.rref()
+    return [[F(int(e.numerator), int(e.denominator)) for e in row] for row in red.to_list()], list(pivots)
+
+
+def right_hand_sides(data, m):
+    return Matrix(data.draw(st.lists(
+        st.lists(kernel_entries, min_size=2, max_size=2), min_size=m.rows, max_size=m.rows)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_matrices(), st.data())
 def test_kernel_matches_fraction_reference(m, data):
-    rhs = Matrix(data.draw(st.lists(
-        st.lists(kernel_entries, min_size=2, max_size=2), min_size=m.rows, max_size=m.rows)))
-    with patch.object(_kernels_py, "rref", fraction_rref):
-        expected = linalg_results(m, rhs)
-    assert linalg_results(m, rhs) == expected
+    rhs = right_hand_sides(data, m)
+    assert linalg_results(m, rhs) == results_from(reference_rref, m, rhs)
 
 
 def test_kernel_on_empty_and_zero_matrices():
-    assert _kernels_py.rref([]) == ([], [])
-    assert _kernels_py.rref([[], []]) == ([[], []], [])
+    assert _kernels_py.rref([], 0) == ([], [])
+    assert _kernels_py.rref([{}, {}], 0) == ([[], []], [])
+    assert _kernels_py.echelon([]) == {} and _kernels_py.echelon([{}, {}]) == {}
     zero = Matrix.zeros(2, 3)
     assert rref(zero) == (zero, ()) and rank(zero) == 0
     assert kernel_basis(zero) == [tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
@@ -209,20 +249,37 @@ def test_nonzeros_lists_entries_row_major():
 
 
 @settings(max_examples=60, deadline=None)
-@given(kernel_matrices())
-def test_rref_matches_sympy(m):
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
+@given(kernel_matrices(), st.data())
+def test_rref_matches_sympy(m, data):
+    rhs = right_hand_sides(data, m)
+    assert linalg_results(m, rhs) == results_from(sympy_rref, m, rhs)
 
-    qq = sympy.QQ
-    dm = DomainMatrix([[qq(e.numerator, e.denominator) for e in m.row(i)]
-                       for i in range(m.rows)], (m.rows, m.cols), qq)
-    red, pivots = dm.rref()
-    rows = red.to_list()
-    expected = [[F(int(e.numerator), int(e.denominator)) for e in row] for row in rows]
-    reduced, ours = rref(m)
-    assert ours == tuple(pivots) and rank(m) == len(pivots)
-    assert reduced.to_lists() == expected
+
+def test_cancelled_entries_are_never_stored():
+    a = Matrix([[1, F(1, 2)], [0, 3]])
+    b = Matrix([[-1, F(1, 2)], [0, -3]])
+    cases = [
+        (a + b, Matrix([[0, 1], [0, 0]])),
+        (a - a, Matrix.zeros(2, 2)),
+        (a.scale(0), Matrix.zeros(2, 2)),
+        (Matrix([[1, 1], [2, 0]]) @ Matrix([[1, 0], [-1, 0]]), Matrix([[0, 0], [2, 0]])),
+        (-(-a), a),
+        (a.hstack(b).vstack(b.hstack(a)), Matrix([[1, F(1, 2), -1, F(1, 2)], [0, 3, 0, -3],
+                                                 [-1, F(1, 2), 1, F(1, 2)], [0, -3, 0, 3]])),
+        (Matrix.from_cols([(F(0), F(2))]), Matrix([[0], [2]])),
+        (Matrix.diag_blocks(a, Matrix.zeros(1, 1)), Matrix([[1, F(1, 2), 0], [0, 3, 0], [0, 0, 0]])),
+        (kron(Matrix([[1, 0]]), a), Matrix([[1, F(1, 2), 0, 0], [0, 3, 0, 0]])),
+        (Matrix._dense([[F(0), F(5)]], 2), Matrix([[0, 5]])),
+        (Matrix._sparse([{1: F(5)}], 2), Matrix([[0, 5]])),
+        (Matrix([[F(2, 4), F(0, 3)]]), Matrix._sparse([{0: F(1, 2)}], 2)),
+        (rref(a + b)[0], Matrix([[0, 1], [0, 0]])),
+        (solve_with_free_zero(a, a), Matrix.identity(2)),
+    ]
+    for got, expected in cases:
+        dense = [e for row in got.to_lists() for e in row]
+        assert len(got.nonzeros()) == sum(1 for e in dense if e), got
+        assert got == expected and hash(got) == hash(expected), got
+    assert a + b != Matrix([[0, 1], [0, 1]]) and Matrix.zeros(1, 2) != Matrix.zeros(2, 1)
 
 
 @settings(max_examples=60, deadline=None)
