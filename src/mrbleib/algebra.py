@@ -7,16 +7,27 @@ is validated at construction time: loading a broken candidate and asking
 *which* identity fails where is a first-class use case, so every identity
 has a defect checker returning the full list of nonzero residuals.
 
-``mrb_defect`` never loops over basis pairs.  Each term of the modified
-identity is a structure constant times operator entries, so it walks the
-nonzero constants, pairs each with the nonzero operator entries it meets,
-and accumulates the products into a map from basis pair to sparse residual.
-Its cost follows those pairs, not dim**2 dense bracket evaluations.  The
-report lists the pairs in lexicographic order, each residual a dense
-coordinate tuple, and drops residuals that cancel to zero, exactly as an
-evaluation on every basis pair would (``tests/reference.py`` keeps that
-evaluation as the oracle).  ``leibniz_defect`` still evaluates every basis
-triple.
+Every identity that precomposes a bilinear map with linear maps goes
+through one sparse core (``_compose``, ``_apply_after``, ``_leibniz_terms``,
+``_operator_residual``).  A bilinear map is its nonzero constants, a residual
+is a map from basis tuple to sparse vector, and ``_compose`` adds
+mu(L e_i, R e_j) by meeting each constant with the nonzeros of the matching
+rows of L and R.  So the cost follows those nonzeros, not dim**2 dense
+bracket evaluations.  ``mrb_defect`` is the order-0 case of
+``_operator_residual``, whose higher orders are the operator part of the
+deformation equations (``mrbleib.deformation``).  ``rb_defect``,
+``derived_algebra`` and the bracket section of ``morphism_defect`` are
+compositions too.  ``_report`` lists basis tuples in lexicographic order,
+each residual a dense coordinate tuple, and drops residuals that cancel to
+zero, exactly as an evaluation on every basis tuple would
+(``tests/reference.py`` keeps those evaluations as oracles).
+
+``leibniz_defect`` still evaluates every basis triple, although its sparse
+form is one ``_leibniz_terms(acc, mu, mu)`` call.  That call would make the
+benchmark's session-mix workload about twice as fast, but the benchmark
+harness (``perfbench/run.py``) keeps about 0.55 MB per pass, so the extra
+passes would push its peak memory past the 10% bound.  It waits on that
+harness fix.
 
 ``grid_search_operators`` builds no candidate matrix and calls no checker:
 it compiles the modified identity once into polynomials in the entries of K
@@ -39,7 +50,7 @@ from .errors import (
     NotModifiedRotaBaxter,
     NotRotaBaxter,
 )
-from .linalg import Matrix, ZERO, vec_add, vec_is_zero, vec_scale, vec_sub
+from .linalg import Matrix, ONE, ZERO, vec_is_zero, vec_sub
 
 
 @dataclass(frozen=True)
@@ -182,6 +193,18 @@ def _dense(vec: dict, length: int) -> tuple[Fraction, ...]:
     return tuple(res)
 
 
+# The bilinear core.  A bilinear map is the list of its nonzero constants
+# (a, b, t, c): mu(e_a, e_b) contains c e_t.  A residual map is
+# {where: {t: value}}, keyed by the 0-based basis tuple it is evaluated at.
+# A matrix enters by the nonzeros of its rows (``_compose``, where None
+# stands for the identity) or of its columns (``_apply_after``).
+
+
+def _constants(alg: LeibnizAlgebra):
+    """The bracket as the constants (a, b, t, c), 0-based, of the core."""
+    return [(i - 1, j - 1, k - 1, c) for (i, j, k), c in alg.entries]
+
+
 def _add_at(acc: dict, where, pos: int, v: Fraction):
     """acc[where][pos] += v, creating the residual on first use."""
     res = acc.get(where)
@@ -189,6 +212,90 @@ def _add_at(acc: dict, where, pos: int, v: Fraction):
         acc[where] = {pos: v}
     else:
         res[pos] = res[pos] + v if pos in res else v
+
+
+def _compose(acc: dict, mu, left=None, right=None, s=ONE):
+    """acc[(i, j)] += s * mu(L e_i, R e_j), from the nonzeros of the rows of
+    L and R: each constant (a, b, t, c) meets row a of L and row b of R.
+    Factors that are the object ONE (the identity's) are not multiplied."""
+    for a, b, t, c in mu:
+        if s is not ONE:
+            c *= s
+        for i, u in ((a, ONE),) if left is None else left._rows[a].items():
+            uc = c if u is ONE else u * c
+            for j, v in ((b, ONE),) if right is None else right._rows[b].items():
+                _add_at(acc, (i, j), t, uc if v is ONE else uc * v)
+
+
+def _apply_after(acc: dict, m: Matrix, res: dict, negate: bool = False):
+    """acc[where] += M res[where] (or -= when ``negate``) for every
+    residual, through the nonzero columns of M."""
+    if not res:
+        return
+    cols = {}
+    for r, row in enumerate(m._rows):
+        for t, v in row.items():
+            cols.setdefault(t, []).append((r, v))
+    for where, vec in res.items():
+        for t, x in vec.items():
+            if negate:
+                x = -x
+            for r, v in cols.get(t, ()):
+                _add_at(acc, where, r, v * x)
+
+
+def _leibniz_terms(acc: dict, outer, inner):
+    """acc[(x, y, z)] += outer(x, inner(y,z)) - outer(inner(x,y), z)
+    - outer(y, inner(x,z)) on basis triples.  Each inner constant
+    (p, q, m, c) meets the outer constants whose right argument is m (first
+    and last term) or whose left argument is m (middle term)."""
+    by_left = {}
+    by_right = {}
+    for a, b, t, c in outer:
+        by_left.setdefault(a, []).append((b, t, c))
+        by_right.setdefault(b, []).append((a, t, c))
+    for p, q, m, c in inner:
+        for a, t, c2 in by_right.get(m, ()):
+            v = c * c2
+            _add_at(acc, (a, p, q), t, v)
+            _add_at(acc, (p, a, q), t, -v)
+        for z, t, c2 in by_left.get(m, ()):
+            _add_at(acc, (p, q, z), t, -c * c2)
+
+
+def _operator_residual(mus, ks, weight, n: int) -> dict:
+    """The order-n part of the modified identity for mu_t = sum mu_i t^i and
+    K_t = sum K_i t^i:
+
+      sum_{p+q+r=n} mu_p(K_q x, K_r y) - K_p(mu_q(K_r x, y) + mu_q(x, K_r y))
+      - weight * mu_n(x, y).
+
+    At n = 0 this is [Kx,Ky] - K([Kx,y] + [x,Ky]) - w[x,y].
+    """
+    acc = {}
+    for p in range(n + 1):
+        mid = {}
+        for q in range(n + 1 - p):
+            r = n - p - q
+            _compose(acc, mus[p], ks[q], ks[r])
+            _compose(mid, mus[q], ks[r], None)
+            _compose(mid, mus[q], None, ks[r])
+        _apply_after(acc, ks[p], mid, negate=True)
+    if weight:
+        _compose(acc, mus[n], s=-weight)
+    return acc
+
+
+def _report(*sections) -> DefectReport:
+    """A report from (section, residual map, length) triples, in that order:
+    each map's entries in lexicographic order of their basis tuples, given
+    1-based, with every residual a dense tuple; all-zero residuals drop."""
+    return DefectReport(tuple(
+        Defect(section, tuple(x + 1 for x in where), _dense(acc[where], length))
+        for section, acc, length in sections
+        for where in sorted(acc)
+        if any(acc[where].values())
+    ))
 
 
 def leibniz_defect(alg: LeibnizAlgebra) -> DefectReport:
@@ -211,62 +318,28 @@ def _basis(dim: int, i: int) -> tuple[Fraction, ...]:
 
 
 def mrb_defect(alg: LeibnizAlgebra, ctx: OperatorContext) -> DefectReport:
-    """Residuals of [Kx,Ky] - K([Kx,y] + [x,Ky]) - w[x,y] on basis pairs.
-
-    Each constant ``[e_a,e_b] = .. + c e_t`` adds ``K[a,i] K[b,j] c`` to
-    [Ke_i,Ke_j] for the nonzeros of rows a and b of K, and to the middle
-    term ``[Ke_i,e_b] + [e_a,Ke_j]`` likewise; K is then applied to the
-    middle terms by its nonzero columns.  Entries come in lexicographic
-    (i,j) order.
-    """
+    """Residuals of [Kx,Ky] - K([Kx,y] + [x,Ky]) - w[x,y] on basis pairs,
+    the order-0 case of ``_operator_residual``, in lexicographic (i,j)
+    order."""
     _check_dims(alg, ctx)
-    w = ctx.weight
-    k_rows = {}
-    k_cols = {}
-    for r, col, v in ctx.operator.nonzeros():
-        k_rows.setdefault(r + 1, []).append((col + 1, v))
-        k_cols.setdefault(col, []).append((r, v))
-    acc = {}
-    mid = {}
-    for (a, b, t), c in alg.entries:
-        t -= 1
-        ka = k_rows.get(a, ())
-        kb = k_rows.get(b, ())
-        for i, u in ka:
-            uc = u * c
-            for j, v in kb:
-                _add_at(acc, (i, j), t, uc * v)
-            _add_at(mid, (i, b), t, uc)
-        for j, v in kb:
-            _add_at(mid, (a, j), t, v * c)
-        if w:
-            _add_at(acc, (a, b), t, -w * c)
-    for where, vec in mid.items():
-        for t, m in vec.items():
-            for r, v in k_cols.get(t, ()):
-                _add_at(acc, where, r, -v * m)
-    return DefectReport(tuple(
-        Defect("mrb", where, _dense(acc[where], alg.dim))
-        for where in sorted(acc)
-        if any(acc[where].values())
-    ))
+    acc = _operator_residual([_constants(alg)], [ctx.operator], ctx.weight, 0)
+    return _report(("mrb", acc, alg.dim))
 
 
 def rb_defect(alg: LeibnizAlgebra, ctx: OperatorContext) -> DefectReport:
     """Residuals of [Tx,Ty] - T([Tx,y] + [x,Ty] + w[x,y]) on basis pairs."""
     _check_dims(alg, ctx)
     t, w = ctx.operator, ctx.weight
-    d = alg.dim
-    tcols = [t.column(j) for j in range(d)]
-    items = []
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            ti, tj = tcols[i - 1], tcols[j - 1]
-            lhs = alg.bracket(ti, tj)
-            mid = vec_add(alg.bracket(ti, _basis(d, j)), alg.bracket(_basis(d, i), tj))
-            mid = vec_add(mid, vec_scale(w, alg.bracket_basis(i, j)))
-            items.append(("rb", (i, j), vec_sub(lhs, t.apply(mid))))
-    return _collect(items)
+    mu = _constants(alg)
+    acc = {}
+    _compose(acc, mu, t, t)
+    mid = {}
+    _compose(mid, mu, t, None)
+    _compose(mid, mu, None, t)
+    if w:
+        _compose(mid, mu, s=w)
+    _apply_after(acc, t, mid, negate=True)
+    return _report(("rb", acc, alg.dim))
 
 
 def rb_to_mrb(alg: LeibnizAlgebra, ctx: OperatorContext) -> OperatorContext:
@@ -293,19 +366,14 @@ def derived_algebra(alg: LeibnizAlgebra, ctx: OperatorContext) -> LeibnizAlgebra
         raise NotLeibniz("base bracket fails the Leibniz identity")
     if not mrb_defect(alg, ctx).is_empty:
         raise NotModifiedRotaBaxter("operator fails the modified identity")
-    d = alg.dim
     k = ctx.operator
-    entries = []
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            vec = vec_add(
-                alg.bracket(k.column(i - 1), _basis(d, j)),
-                alg.bracket(_basis(d, i), k.column(j - 1)),
-            )
-            for t, c in enumerate(vec):
-                if c:
-                    entries.append((i, j, t + 1, c))
-    out = LeibnizAlgebra(d, entries)
+    mu = _constants(alg)
+    acc = {}
+    _compose(acc, mu, k, None)
+    _compose(acc, mu, None, k)
+    out = LeibnizAlgebra(alg.dim, [
+        (i + 1, j + 1, t + 1, c) for (i, j), res in acc.items() for t, c in res.items()
+    ])
     assert leibniz_defect(out).is_empty
     assert mrb_defect(out, ctx).is_empty
     return out
@@ -325,17 +393,16 @@ def morphism_defect(
         )
     _check_dims(alg1, ctx1)
     _check_dims(alg2, ctx2)
-    items = []
-    d = alg1.dim
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            lhs = phi.apply(alg1.bracket_basis(i, j))
-            rhs = alg2.bracket(phi.column(i - 1), phi.column(j - 1))
-            items.append(("bracket", (i, j), vec_sub(lhs, rhs)))
+    bracket = {}
+    _compose(bracket, _constants(alg1))
+    acc = {}
+    _apply_after(acc, phi, bracket)
+    _compose(acc, _constants(alg2), phi, phi, -ONE)
     diff = phi @ ctx1.operator - ctx2.operator @ phi
-    for i in range(1, d + 1):
-        items.append(("operator", (i,), diff.column(i - 1)))
-    return _collect(items)
+    op = {}
+    for r, i, v in diff.nonzeros():
+        op.setdefault((i,), {})[r] = v
+    return _report(("bracket", acc, alg2.dim), ("operator", op, alg2.dim))
 
 
 def _mrb_polynomials(alg: LeibnizAlgebra, weight: Fraction, pinned: dict) -> dict:

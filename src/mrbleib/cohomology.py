@@ -48,7 +48,6 @@ from .linalg import (
     add_entry,
     flat_index,
     rank,
-    kernel_basis,
     solve_with_free_zero,
     unflatten,
 )
@@ -470,7 +469,6 @@ class CohomologyReport:
     leibniz: ComplexTable
     operator: ComplexTable | None
     cone: ComplexTable | None
-    representatives: dict | None = None
     convention: str = PHI_CONVENTION
 
 
@@ -489,38 +487,12 @@ def _table_from_matrices(dims, mats) -> ComplexTable:
     return ComplexTable(tuple(dims), ranks, tuple(homs))
 
 
-def _representatives(dims, mats):
-    """Kernel-basis vectors of each differential that are independent of the
-    image of the previous one; canonical given the canonical kernel basis."""
-    reps = []
-    for n in range(len(dims)):
-        kern = kernel_basis(mats[n])
-        if n == 0:
-            image_cols = []
-        else:
-            prev = mats[n - 1]
-            image_cols = [prev.column(j) for j in range(prev.cols)]
-        chosen = []
-        base = Matrix.from_cols(image_cols, dims[n]) if image_cols else Matrix.zeros(dims[n], 0)
-        current = rank(base)
-        stack = base
-        for v in kern:
-            candidate = stack.hstack(Matrix.from_cols([v], dims[n]))
-            r = rank(candidate)
-            if r > current:
-                chosen.append(v)
-                stack, current = candidate, r
-        reps.append(tuple(chosen))
-    return tuple(reps)
-
-
 def cohomology_dimensions(
     alg: LeibnizAlgebra,
     rep: Representation,
     ctx: OperatorContext | None = None,
     max_degree: int = 3,
     budget: int = 10 ** 7,
-    with_representatives: bool = False,
 ) -> CohomologyReport:
     """Exact cohomology dimensions for degrees 0..max_degree.
 
@@ -549,21 +521,15 @@ def cohomology_dimensions(
         raise NotLeibniz("bracket fails the Leibniz identity")
     leib_dims = [dim_v * d ** n for n in degrees]
     leib_mats = [delta_matrix(alg, rep, n) for n in degrees]
-    reps_out = {} if with_representatives else None
     leib_table = _table_from_matrices(leib_dims, leib_mats)
-    if with_representatives:
-        reps_out["leibniz"] = _representatives(leib_dims, leib_mats)
     if ctx is None:
-        return CohomologyReport(max_degree, leib_table, None, None, reps_out)
+        return CohomologyReport(max_degree, leib_table, None, None)
     op_mats = [delta_matrix(derived, ind, n) for n in degrees]
     op_table = _table_from_matrices(leib_dims, op_mats)
     cone_dims = [cone_space_dim(dim_v, d, n) for n in degrees]
     cone_mats = [cone_differential(alg, ctx, rep, n) for n in degrees]
     cone_table = _table_from_matrices(cone_dims, cone_mats)
-    if with_representatives:
-        reps_out["operator"] = _representatives(leib_dims, op_mats)
-        reps_out["cone"] = _representatives(cone_dims, cone_mats)
-    return CohomologyReport(max_degree, leib_table, op_table, cone_table, reps_out)
+    return CohomologyReport(max_degree, leib_table, op_table, cone_table)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,18 @@ equations are compared order by order; at each order n the weight term
 enters exactly once, against the order-n bracket coefficient, which is the
 reading forced by the base case n = 0 (the defining operator identity).
 
+The order-n equations are the Leibniz identity and the modified identity
+expanded in the parameter (Gerstenhaber, Ann. Math. 79, 1964), so they are
+computed by the sparse bilinear core of ``mrbleib.algebra``: the bracket
+part is ``_leibniz_terms(mu_i, mu_j)`` summed over i + j = n, and the
+operator part is ``_operator_residual`` at order n, whose order 0 is
+``mrb_defect``.  Formal isomorphisms act through the same core: each
+coefficient of the pulled-back bracket is a sum of compositions
+inv_a o mu_b(psi_c x, psi_e y).  Cochains enter the core through
+``cochain_entries`` and leave it through ``cochain_from_entries``, so the
+cost follows the nonzero constants and matrix entries; ``tests/reference.py``
+keeps the evaluation on every basis tuple as the oracle.
+
 All cohomological bookkeeping (infinitesimals, gauge steps) happens in the
 cone complex with regular coefficients.
 """
@@ -18,8 +30,11 @@ from .algebra import (
     DefectReport,
     LeibnizAlgebra,
     OperatorContext,
-    _basis,
-    _collect,
+    _apply_after,
+    _compose,
+    _leibniz_terms,
+    _operator_residual,
+    _report,
 )
 from .cohomology import (
     Cochain,
@@ -28,6 +43,7 @@ from .cohomology import (
     apply_delta,
     bracket_cochain,
     classify_cochain,
+    cochain_entries,
     cochain_from_entries,
     operator_cochain,
     zero_cochain,
@@ -38,7 +54,7 @@ from .errors import (
     NotADeformation,
     OrderMismatch,
 )
-from .linalg import Matrix, ZERO, kron, vec_add, vec_scale, vec_sub
+from .linalg import ONE, Matrix
 from .representations import regular_rep
 
 
@@ -96,22 +112,10 @@ class TruncatedDeformation:
         return TruncatedDeformation(self.algebra, self.ctx, mu, kk)
 
 
-def _ev2(c: Cochain, d: int, u, v):
-    """Evaluate a degree-2 cochain on two coordinate vectors."""
-    vals = c.values
-    out = [ZERO] * vals.rows
-    for a, ua in enumerate(u):
-        if not ua:
-            continue
-        for b, vb in enumerate(v):
-            if not vb:
-                continue
-            s = ua * vb
-            col = vals.column(a * d + b)
-            for t, e in enumerate(col):
-                if e:
-                    out[t] += s * e
-    return tuple(out)
+def _cochain_constants(c: Cochain, d: int):
+    """A degree-2 cochain as the constants (a, b, t, c), 0-based, of the
+    bilinear core in ``mrbleib.algebra``."""
+    return [(i - 1, j - 1, t - 1, v) for (i, j), t, v in cochain_entries(c, d)]
 
 
 def deformation_residuals(dfm: TruncatedDeformation) -> tuple[DefectReport, ...]:
@@ -125,46 +129,14 @@ def deformation_residuals(dfm: TruncatedDeformation) -> tuple[DefectReport, ...]
       - weight * mu_n(x, y).
     """
     d = dfm.algebra.dim
-    weight = dfm.ctx.weight
+    mus = [_cochain_constants(mu, d) for mu in dfm.mu]
     reports = []
-    kcols = [[k.column(j) for j in range(d)] for k in dfm.kk]
     for n in range(dfm.order + 1):
-        items = []
-        for a in range(1, d + 1):
-            x = _basis(d, a)
-            for b in range(1, d + 1):
-                y = _basis(d, b)
-                for c in range(1, d + 1):
-                    z = _basis(d, c)
-                    res = (ZERO,) * d
-                    for i in range(n + 1):
-                        j = n - i
-                        mi, mj = dfm.mu[i], dfm.mu[j]
-                        term = _ev2(mi, d, x, _ev2(mj, d, y, z))
-                        term = vec_sub(term, _ev2(mi, d, _ev2(mj, d, x, y), z))
-                        term = vec_sub(term, _ev2(mi, d, y, _ev2(mj, d, x, z)))
-                        res = vec_add(res, term)
-                    items.append(("leibniz", (a, b, c), res))
-        for a in range(1, d + 1):
-            x = _basis(d, a)
-            for b in range(1, d + 1):
-                y = _basis(d, b)
-                res = (ZERO,) * d
-                for i in range(n + 1):
-                    for j in range(n + 1 - i):
-                        k = n - i - j
-                        kjx = kcols[j][a - 1]
-                        kky = kcols[k][b - 1]
-                        res = vec_add(res, _ev2(dfm.mu[i], d, kjx, kky))
-                        kkx = kcols[k][a - 1]
-                        inner = vec_add(
-                            _ev2(dfm.mu[j], d, kkx, y),
-                            _ev2(dfm.mu[j], d, x, kky),
-                        )
-                        res = vec_sub(res, dfm.kk[i].apply(inner))
-                res = vec_sub(res, vec_scale(weight, _ev2(dfm.mu[n], d, x, y)))
-                items.append(("operator", (a, b), res))
-        reports.append(_collect(items))
+        leib = {}
+        for i in range(n + 1):
+            _leibniz_terms(leib, mus[i], mus[n - i])
+        op = _operator_residual(mus, dfm.kk, dfm.ctx.weight, n)
+        reports.append(_report(("leibniz", leib, d), ("operator", op, d)))
     return tuple(reports)
 
 
@@ -222,6 +194,11 @@ class FormalIso:
         return tuple(inv)
 
 
+def _check_iso(iso: FormalIso, d: int):
+    if iso.psi[0].rows != d:
+        raise DimensionMismatch(f"iso is {iso.psi[0].rows}x{iso.psi[0].rows}, algebra dim {d}")
+
+
 def apply_formal_iso(
     dfm: TruncatedDeformation, iso: FormalIso
 ) -> TruncatedDeformation:
@@ -236,31 +213,29 @@ def apply_formal_iso(
             f"iso order {iso.order} differs from deformation order {dfm.order}"
         )
     d = dfm.algebra.dim
+    _check_iso(iso, d)
     inv = iso.inverse_coefficients()
-    kron_cache = {}
-
-    def kr(c, e):
-        if (c, e) not in kron_cache:
-            kron_cache[(c, e)] = kron(iso.psi[c], iso.psi[e])
-        return kron_cache[(c, e)]
-
+    psi = iso.psi
+    mus = [_cochain_constants(mu, d) for mu in dfm.mu]
     new_mu = []
     new_kk = []
     for n in range(dfm.order + 1):
-        mu_vals = Matrix.zeros(d, d * d)
+        # mu'_n = sum_{a+b+c+e=n} inv_a o mu_b(psi_c x, psi_e y)
+        acc = {}
         for a in range(n + 1):
+            mid = {}
             for b in range(n + 1 - a):
-                rest = n - a - b
-                base = inv[a] @ dfm.mu[b].values
-                for c in range(rest + 1):
-                    e = rest - c
-                    mu_vals = mu_vals + base @ kr(c, e)
-        new_mu.append(Cochain(2, mu_vals))
+                for c in range(n + 1 - a - b):
+                    _compose(mid, mus[b], psi[c], psi[n - a - b - c])
+            _apply_after(acc, inv[a], mid)
+        new_mu.append(cochain_from_entries(d, d, 2, (
+            ((i + 1, j + 1), t + 1, v) for (i, j), res in acc.items() for t, v in res.items()
+        )))
         k_val = Matrix.zeros(d, d)
         for a in range(n + 1):
             for b in range(n + 1 - a):
                 c = n - a - b
-                k_val = k_val + inv[a] @ dfm.kk[b] @ iso.psi[c]
+                k_val = k_val + inv[a] @ dfm.kk[b] @ psi[c]
         new_kk.append(k_val)
     out = TruncatedDeformation(dfm.algebra, dfm.ctx, tuple(new_mu), tuple(new_kk))
     if is_residual_free(dfm):
@@ -277,30 +252,30 @@ def equivalence_residuals(
     if d1.order != d2.order or iso.order != d1.order:
         raise OrderMismatch("deformations and iso must share one truncation order")
     d = d1.algebra.dim
+    if d2.algebra.dim != d:
+        raise DimensionMismatch(f"deformations have dims {d} and {d2.algebra.dim}")
+    _check_iso(iso, d)
+    psi = iso.psi
+    mus1 = [_cochain_constants(mu, d) for mu in d1.mu]
+    mus2 = [_cochain_constants(mu, d) for mu in d2.mu]
     reports = []
     for n in range(d1.order + 1):
-        items = []
-        lhs_mu = Matrix.zeros(d, d * d)
+        bracket = {}
         for a in range(n + 1):
-            lhs_mu = lhs_mu + iso.psi[a] @ d2.mu[n - a].values
-        rhs_mu = Matrix.zeros(d, d * d)
-        for a in range(n + 1):
+            mid = {}
+            _compose(mid, mus2[n - a])
+            _apply_after(bracket, psi[a], mid)
             for b in range(n + 1 - a):
-                c = n - a - b
-                rhs_mu = rhs_mu + d1.mu[a].values @ kron(iso.psi[b], iso.psi[c])
-        diff = lhs_mu - rhs_mu
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                items.append(("bracket", (i, j), diff.column((i - 1) * d + (j - 1))))
+                _compose(bracket, mus1[a], psi[b], psi[n - a - b], -ONE)
         lhs_k = Matrix.zeros(d, d)
         rhs_k = Matrix.zeros(d, d)
         for a in range(n + 1):
-            lhs_k = lhs_k + iso.psi[a] @ d2.kk[n - a]
-            rhs_k = rhs_k + d1.kk[a] @ iso.psi[n - a]
-        diffk = lhs_k - rhs_k
-        for i in range(1, d + 1):
-            items.append(("operator", (i,), diffk.column(i - 1)))
-        reports.append(_collect(items))
+            lhs_k = lhs_k + psi[a] @ d2.kk[n - a]
+            rhs_k = rhs_k + d1.kk[a] @ psi[n - a]
+        op = {}
+        for r, i, v in (lhs_k - rhs_k).nonzeros():
+            op.setdefault((i,), {})[r] = v
+        reports.append(_report(("bracket", bracket, d), ("operator", op, d)))
     return tuple(reports)
 
 

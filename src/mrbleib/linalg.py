@@ -358,27 +358,8 @@ def unflatten(pos: int, arity: int, dim: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; row (i*b.rows + k), column (j*b.cols + l)."""
-    n = b.cols
-    return Matrix._sparse(
-        [
-            {j * n + l: s * v for j, s in ra.items() for l, v in rb.items()}
-            for ra in a._rows
-            for rb in b._rows
-        ],
-        a.cols * n,
-    )
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-def vec_scale(s, u):
-    return tuple(s * a for a in u)
 
 def vec_is_zero(u) -> bool:
     return all(not a for a in u)

@@ -7,6 +7,13 @@ the oracle for the integer elimination kernel of ``mrbleib._kernels_py``.
 with dense vectors and matrices, the oracle for the sparse checkers of
 ``mrbleib.algebra`` and ``mrbleib.representations``.
 
+``rb_defect``, ``derived_algebra`` and ``morphism_defect`` evaluate the
+bracket on dense coordinate vectors at every basis pair, and
+``deformation_residuals``, ``apply_formal_iso`` and
+``equivalence_residuals`` evaluate each coefficient cochain on every basis
+tuple or multiply it by dense Kronecker products: the oracles for the sparse
+bilinear core of ``mrbleib.algebra`` and ``mrbleib.deformation``.
+
 ``grid_search_operators`` enumerates every candidate matrix of a grid
 search and keeps those that ``mrb_defect`` passes, the oracle for the
 compiled depth-first search of ``mrbleib.algebra``.
@@ -24,15 +31,41 @@ code with the package, so it is the oracle the matrices and evaluators of
 import itertools
 
 from mrbleib import algebra
-from mrbleib.algebra import DefectReport, OperatorContext, _basis, _check_dims, _collect
+from mrbleib.algebra import (
+    DefectReport,
+    LeibnizAlgebra,
+    OperatorContext,
+    _basis,
+    _check_dims,
+    _collect,
+)
 from mrbleib.cohomology import (
     Cochain,
     cochain_to_vec,
     operator_complex_pair,
     phi_weight,
 )
-from mrbleib.linalg import ONE, ZERO, Matrix, flat_index, vec_add, vec_is_zero, vec_scale, vec_sub
+from mrbleib.deformation import TruncatedDeformation
+from mrbleib.errors import DimensionMismatch, NotLeibniz, NotModifiedRotaBaxter, OrderMismatch
+from mrbleib.linalg import ONE, ZERO, Matrix, flat_index, vec_is_zero, vec_sub
 from mrbleib.representations import _combine, _matrix_defects, _shape_check
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_scale(s, u):
+    return tuple(s * a for a in u)
+
+
+def kron(a, b):
+    """Kronecker product; row (i*b.rows + k), column (j*b.cols + l)."""
+    return Matrix([
+        [a[i, j] * b[k, l] for j in range(a.cols) for l in range(b.cols)]
+        for i in range(a.rows)
+        for k in range(b.rows)
+    ])
 
 
 def fraction_rref(rows):
@@ -298,3 +331,156 @@ def grid_search_operators(alg, weight, grid, mask=None):
         if algebra.mrb_defect(alg, OperatorContext(candidate, weight)).is_empty:
             solutions.append(candidate)
     return solutions
+
+
+def rb_defect(alg, ctx) -> DefectReport:
+    """Residuals of [Tx,Ty] - T([Tx,y] + [x,Ty] + w[x,y]) on all basis pairs."""
+    _check_dims(alg, ctx)
+    t, w = ctx.operator, ctx.weight
+    d = alg.dim
+    tcols = [t.column(j) for j in range(d)]
+    items = []
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            ti, tj = tcols[i - 1], tcols[j - 1]
+            lhs = alg.bracket(ti, tj)
+            mid = vec_add(alg.bracket(ti, _basis(d, j)), alg.bracket(_basis(d, i), tj))
+            mid = vec_add(mid, vec_scale(w, alg.bracket_basis(i, j)))
+            items.append(("rb", (i, j), vec_sub(lhs, t.apply(mid))))
+    return _collect(items)
+
+
+def derived_algebra(alg, ctx):
+    """The bracket [Kx,y] + [x,Ky] on every basis pair, after the same
+    checks as the package (``NotLeibniz``, ``NotModifiedRotaBaxter``)."""
+    if not algebra.leibniz_defect(alg).is_empty:
+        raise NotLeibniz("base bracket fails the Leibniz identity")
+    if not mrb_defect(alg, ctx).is_empty:
+        raise NotModifiedRotaBaxter("operator fails the modified identity")
+    d = alg.dim
+    k = ctx.operator
+    entries = []
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            vec = vec_add(
+                alg.bracket(k.column(i - 1), _basis(d, j)),
+                alg.bracket(_basis(d, i), k.column(j - 1)),
+            )
+            for t, c in enumerate(vec):
+                if c:
+                    entries.append((i, j, t + 1, c))
+    return LeibnizAlgebra(d, entries)
+
+
+def morphism_defect(alg1, ctx1, alg2, ctx2, phi) -> DefectReport:
+    """Residuals of phi[x,y] - [phi x, phi y] and phi K - K' phi."""
+    if phi.cols != alg1.dim or phi.rows != alg2.dim:
+        raise DimensionMismatch("morphism matrix shape")
+    _check_dims(alg1, ctx1)
+    _check_dims(alg2, ctx2)
+    items = []
+    d = alg1.dim
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            lhs = phi.apply(alg1.bracket_basis(i, j))
+            rhs = alg2.bracket(phi.column(i - 1), phi.column(j - 1))
+            items.append(("bracket", (i, j), vec_sub(lhs, rhs)))
+    diff = phi @ ctx1.operator - ctx2.operator @ phi
+    for i in range(1, d + 1):
+        items.append(("operator", (i,), diff.column(i - 1)))
+    return _collect(items)
+
+
+def _ev2(c, d, u, v):
+    """Evaluate a degree-2 cochain on two coordinate vectors."""
+    vals = c.values
+    out = [ZERO] * vals.rows
+    for a, ua in enumerate(u):
+        for b, vb in enumerate(v):
+            if ua and vb:
+                col = vals.column(a * d + b)
+                out = [o + ua * vb * e for o, e in zip(out, col)]
+    return tuple(out)
+
+
+def deformation_residuals(dfm):
+    """Both deformation equations at every order, on every basis tuple."""
+    d = dfm.algebra.dim
+    weight = dfm.ctx.weight
+    kcols = [[k.column(j) for j in range(d)] for k in dfm.kk]
+    reports = []
+    for n in range(dfm.order + 1):
+        items = []
+        for a, b, c in itertools.product(range(1, d + 1), repeat=3):
+            x, y, z = _basis(d, a), _basis(d, b), _basis(d, c)
+            res = (ZERO,) * d
+            for i in range(n + 1):
+                mi, mj = dfm.mu[i], dfm.mu[n - i]
+                term = _ev2(mi, d, x, _ev2(mj, d, y, z))
+                term = vec_sub(term, _ev2(mi, d, _ev2(mj, d, x, y), z))
+                term = vec_sub(term, _ev2(mi, d, y, _ev2(mj, d, x, z)))
+                res = vec_add(res, term)
+            items.append(("leibniz", (a, b, c), res))
+        for a, b in itertools.product(range(1, d + 1), repeat=2):
+            x, y = _basis(d, a), _basis(d, b)
+            res = (ZERO,) * d
+            for i in range(n + 1):
+                for j in range(n + 1 - i):
+                    k = n - i - j
+                    res = vec_add(res, _ev2(dfm.mu[i], d, kcols[j][a - 1], kcols[k][b - 1]))
+                    inner = vec_add(
+                        _ev2(dfm.mu[j], d, kcols[k][a - 1], y),
+                        _ev2(dfm.mu[j], d, x, kcols[k][b - 1]),
+                    )
+                    res = vec_sub(res, dfm.kk[i].apply(inner))
+            res = vec_sub(res, vec_scale(weight, _ev2(dfm.mu[n], d, x, y)))
+            items.append(("operator", (a, b), res))
+        reports.append(_collect(items))
+    return tuple(reports)
+
+
+def apply_formal_iso(dfm, iso):
+    """mu'_n = sum inv_a mu_b (psi_c x psi_e) and K'_n = sum inv_a K_b psi_c,
+    by dense matrix products."""
+    if iso.order != dfm.order:
+        raise OrderMismatch("iso order differs from deformation order")
+    d = dfm.algebra.dim
+    inv = iso.inverse_coefficients()
+    new_mu = []
+    new_kk = []
+    for n in range(dfm.order + 1):
+        mu_vals = Matrix.zeros(d, d * d)
+        k_val = Matrix.zeros(d, d)
+        for a, b, c in itertools.product(range(n + 1), repeat=3):
+            e = n - a - b - c
+            if e == 0:
+                k_val = k_val + inv[a] @ dfm.kk[b] @ iso.psi[c]
+            if e >= 0:
+                mu_vals = mu_vals + inv[a] @ dfm.mu[b].values @ kron(iso.psi[c], iso.psi[e])
+        new_mu.append(Cochain(2, mu_vals))
+        new_kk.append(k_val)
+    return TruncatedDeformation(dfm.algebra, dfm.ctx, tuple(new_mu), tuple(new_kk))
+
+
+def equivalence_residuals(d1, d2, iso):
+    """The equivalence equations for iso: D2 -> D1 at every order, by dense
+    matrix products, read off column by column."""
+    if d1.order != d2.order or iso.order != d1.order:
+        raise OrderMismatch("deformations and iso must share one truncation order")
+    d = d1.algebra.dim
+    reports = []
+    for n in range(d1.order + 1):
+        items = []
+        diff = Matrix.zeros(d, d * d)
+        diffk = Matrix.zeros(d, d)
+        for a in range(n + 1):
+            diff = diff + iso.psi[a] @ d2.mu[n - a].values
+            diffk = diffk + iso.psi[a] @ d2.kk[n - a] - d1.kk[a] @ iso.psi[n - a]
+            for b in range(n + 1 - a):
+                diff = diff - d1.mu[a].values @ kron(iso.psi[b], iso.psi[n - a - b])
+        for i, j in itertools.product(range(1, d + 1), repeat=2):
+            items.append(("bracket", (i, j), diff.column(flat_index((i, j), d))))
+        for i in range(1, d + 1):
+            items.append(("operator", (i,), diffk.column(i - 1)))
+        reports.append(_collect(items))
+    return tuple(reports)

@@ -4,6 +4,9 @@
 nonzero structure constants and operator or action entries; the oracles
 evaluate every axiom on every basis pair.  Reports must agree in entries,
 order, sections and residuals, on valid structures and on broken ones.
+The same holds for everything else written on the sparse bilinear core:
+``rb_defect``, ``derived_algebra``, ``morphism_defect`` and the
+deformation equations, formal isomorphisms and equivalence equations.
 """
 
 from fractions import Fraction as F
@@ -12,19 +15,52 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from fixtures import MRB_FIXTURES
-from mrbleib.algebra import Defect, LeibnizAlgebra, OperatorContext, mrb_defect
+from fixtures import MRB_FIXTURES, SL2_ROT, SL2_ROT_K
+from mrbleib.algebra import (
+    Defect,
+    LeibnizAlgebra,
+    OperatorContext,
+    derived_algebra,
+    morphism_defect,
+    mrb_defect,
+    rb_defect,
+)
+from mrbleib.cohomology import Cochain, bracket_cochain
+from mrbleib.deformation import (
+    FormalIso,
+    TruncatedDeformation,
+    apply_formal_iso,
+    deformation_residuals,
+    equivalence_residuals,
+)
+from mrbleib.errors import MrbError
 from mrbleib.linalg import Matrix
 from mrbleib.representations import Representation, regular_rep, rep_defect
 
 fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 
 
-def sparse_matrix(draw, n, density):
-    return Matrix([
-        [draw(fractions) if draw(st.floats(0, 1)) < density else 0 for _ in range(n)]
+def sparse_matrix(draw, n, density, cols=None):
+    cols = n if cols is None else cols
+    rows = [
+        [draw(fractions) if draw(st.floats(0, 1)) < density else F(0) for _ in range(cols)]
         for _ in range(n)
-    ])
+    ]
+    return Matrix._dense(rows, cols)
+
+
+def algebras(draw, d):
+    index = st.integers(1, max(d, 1))
+    keys = draw(st.lists(st.tuples(index, index, index), unique=True, max_size=3 * d))
+    return LeibnizAlgebra(d, [(i, j, k, draw(fractions)) for i, j, k in keys])
+
+
+def outcome(f, *args):
+    """The result of f, or the class of the package error it raises."""
+    try:
+        return f(*args)
+    except MrbError as e:
+        return type(e)
 
 
 @st.composite
@@ -32,9 +68,7 @@ def structures(draw):
     """An algebra of dim 0-5 with fractional constants, an operator and a
     module that are usually not axiom-abiding, and the regular module."""
     d = draw(st.integers(0, 5))
-    index = st.integers(1, max(d, 1))
-    keys = draw(st.lists(st.tuples(index, index, index), unique=True, max_size=3 * d))
-    alg = LeibnizAlgebra(d, [(i, j, k, draw(fractions)) for i, j, k in keys])
+    alg = algebras(draw, d)
     ctx = OperatorContext(sparse_matrix(draw, d, draw(st.floats(0, 1))), draw(fractions))
     n = draw(st.integers(0, 3))
     density = draw(st.floats(0, 1))
@@ -57,10 +91,76 @@ def test_sparse_checkers_match_the_dense_oracle(structure):
     assert rep_defect(alg, regular) == reference.rep_defect(alg, regular)
 
 
+@st.composite
+def deformation_data(draw):
+    """Two truncated deformations of order 0-3 over one algebra of dim 0-4
+    (brackets and operators usually not axiom-abiding), a formal
+    isomorphism of the same order, and a second operator algebra with a
+    linear map into it."""
+    d = draw(st.integers(0, 4))
+    order = draw(st.integers(0, 3))
+    alg = algebras(draw, d)
+    ctx = OperatorContext(sparse_matrix(draw, d, draw(st.floats(0, 1))), draw(fractions))
+
+    def deformation():
+        density = draw(st.floats(0, 0.5))
+        return TruncatedDeformation(
+            alg, ctx,
+            (bracket_cochain(alg),) + tuple(
+                Cochain(2, sparse_matrix(draw, d, density, d * d)) for _ in range(order)
+            ),
+            (ctx.operator,) + tuple(sparse_matrix(draw, d, density) for _ in range(order)),
+        )
+
+    iso = FormalIso((Matrix.identity(d),) + tuple(
+        sparse_matrix(draw, d, draw(st.floats(0, 1))) for _ in range(order)
+    ))
+    d2 = draw(st.integers(0, 4))
+    alg2 = algebras(draw, d2)
+    ctx2 = OperatorContext(sparse_matrix(draw, d2, draw(st.floats(0, 1))), draw(fractions))
+    phi = sparse_matrix(draw, d2, draw(st.floats(0, 1)), d)
+    return deformation(), deformation(), iso, alg2, ctx2, phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(deformation_data())
+def test_bilinear_core_matches_the_dense_oracles(data):
+    dfm, other, iso, alg2, ctx2, phi = data
+    alg, ctx = dfm.algebra, dfm.ctx
+    assert rb_defect(alg, ctx) == reference.rb_defect(alg, ctx)
+    assert outcome(derived_algebra, alg, ctx) == outcome(reference.derived_algebra, alg, ctx)
+    assert morphism_defect(alg, ctx, alg2, ctx2, phi) == reference.morphism_defect(
+        alg, ctx, alg2, ctx2, phi
+    )
+    assert deformation_residuals(dfm) == reference.deformation_residuals(dfm)
+    assert apply_formal_iso(dfm, iso) == reference.apply_formal_iso(dfm, iso)
+    assert equivalence_residuals(dfm, other, iso) == reference.equivalence_residuals(
+        dfm, other, iso
+    )
+
+
+CORE_FIXTURES = [(name, alg, ctx) for name, alg, ctx, _ in MRB_FIXTURES] + [
+    ("sl2-rot", SL2_ROT, SL2_ROT_K)
+]
+
+
 @pytest.mark.parametrize("name,alg,ctx,rep", MRB_FIXTURES, ids=[f[0] for f in MRB_FIXTURES])
 def test_sparse_checkers_match_the_dense_oracle_on_fixtures(name, alg, ctx, rep):
     assert mrb_defect(alg, ctx) == reference.mrb_defect(alg, ctx)
     assert rep_defect(alg, rep) == reference.rep_defect(alg, rep)
+
+
+@pytest.mark.parametrize("name,alg,ctx", CORE_FIXTURES, ids=[f[0] for f in CORE_FIXTURES])
+def test_bilinear_core_matches_the_dense_oracles_on_fixtures(name, alg, ctx):
+    # genuine structures: the derived bracket exists, and the operator is a
+    # morphism from the derived algebra to the algebra
+    derived = derived_algebra(alg, ctx)
+    assert derived == reference.derived_algebra(alg, ctx)
+    k = ctx.operator
+    assert morphism_defect(derived, ctx, alg, ctx, k) == reference.morphism_defect(
+        derived, ctx, alg, ctx, k
+    )
+    assert rb_defect(alg, ctx) == reference.rb_defect(alg, ctx)
 
 
 def test_one_constant_in_dimension_forty():

@@ -301,19 +301,6 @@ def test_classify_bracket_cochain():
         assert recovered.leib == pair.leib and recovered.op == pair.op
 
 
-def test_representatives_are_independent_cocycles():
-    rep = regular_rep(G3, K0)
-    report = cohomology_dimensions(
-        G3, rep, K0, max_degree=1, with_representatives=True
-    )
-    reps = report.representatives["cone"]
-    for n, vectors in enumerate(reps):
-        assert len(vectors) == report.cone.cohomology_dims[n]
-        dn = cone_differential(G3, K0, rep, n)
-        for v in vectors:
-            assert all(not e for e in dn.apply(v))
-
-
 def test_budget_guard():
     rep = regular_rep(G3, K0)
     with pytest.raises(BudgetExceeded):

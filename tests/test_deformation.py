@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from fixtures import AFF, G3, K0, ROT
+import mrbleib
+from fixtures import AFF, G3, K0, MRB_FIXTURES, ROT, SL2_ROT, SL2_ROT_K
 from mrbleib.algebra import OperatorContext
 from mrbleib.cohomology import (
     Cochain,
@@ -13,6 +18,7 @@ from mrbleib.cohomology import (
     apply_phi,
     bracket_cochain,
     classify_cochain,
+    cochain_from_entries,
     cone_differential,
     operator_cochain,
     vec_to_cone,
@@ -29,6 +35,7 @@ from mrbleib.deformation import (
     is_residual_free,
 )
 from mrbleib.errors import (
+    DimensionMismatch,
     NotACoboundaryWitness,
     NotADeformation,
     OrderMismatch,
@@ -240,3 +247,75 @@ def test_gauge_step_rejects_wrong_witness():
     if apply_cone(G3, K0, regular_rep(G3, K0), bad).leib != gauged.mu[1]:
         with pytest.raises(NotACoboundaryWitness):
             gauge_step(gauged, bad)
+
+
+CONE_FIXTURES = [(name, alg, ctx) for name, alg, ctx, _ in MRB_FIXTURES] + [
+    ("sl2-rot", SL2_ROT, SL2_ROT_K)
+]
+
+
+def residual_cochain(report, section, d, degree):
+    """One section of a residual report as a cochain with values in the algebra."""
+    return cochain_from_entries(d, d, degree, (
+        (e.where, t + 1, v) for e in report.section(section) for t, v in enumerate(e.residual)
+    ))
+
+
+@pytest.mark.parametrize("name,alg,ctx", CONE_FIXTURES, ids=[f[0] for f in CONE_FIXTURES])
+def test_order_one_residual_is_the_cone_differential(name, alg, ctx):
+    # the order-1 equations are linear in (mu_1, K_1): the bracket part is
+    # the Leibniz half of the cone differential of (mu_1, K_1) and the
+    # operator part its operator half negated, which pins phi_weight and
+    # the sign of the shift
+    rng = random.Random(name)
+    d = alg.dim
+    rep = regular_rep(alg, ctx)
+
+    def entry():
+        return F(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.4 else F(0)
+
+    for _ in range(4):
+        mu1 = Cochain(2, Matrix([[entry() for _ in range(d * d)] for _ in range(d)]))
+        k1 = Matrix([[entry() for _ in range(d)] for _ in range(d)])
+        image = apply_cone(alg, ctx, rep, ConeCochain(mu1, operator_cochain(k1)))
+        dfm = TruncatedDeformation.trivial(alg, ctx, 1).with_order_one(mu1, k1)
+        residual = deformation_residuals(dfm)[1]
+        assert residual_cochain(residual, "leibniz", d, 3) == image.leib
+        assert residual_cochain(residual, "operator", d, 2) == -image.op
+
+
+def test_iso_and_deformations_must_share_one_dimension():
+    g3 = TruncatedDeformation.trivial(G3, K0, 1)
+    aff = TruncatedDeformation.trivial(AFF, ROT, 1)
+    iso2 = FormalIso((Matrix.identity(2), Matrix([[1, 0], [2, 1]])))
+    iso3 = FormalIso((Matrix.identity(3), Matrix.identity(3)))
+    with pytest.raises(DimensionMismatch):
+        apply_formal_iso(g3, iso2)
+    with pytest.raises(DimensionMismatch):
+        apply_formal_iso(aff, iso3)
+    with pytest.raises(DimensionMismatch):
+        equivalence_residuals(g3, g3, iso2)
+    with pytest.raises(DimensionMismatch):
+        equivalence_residuals(g3, aff, iso3)
+    with pytest.raises(DimensionMismatch):
+        equivalence_residuals(g3, aff, iso2)
+
+
+def test_trivial_deformation_in_dimension_forty_is_checked_within_a_minute():
+    # [e1,e1] = e2 with K = id of weight -1: one nonzero constant, so the
+    # equations cost a few products, where evaluating every basis triple
+    # grows like dim^4 and takes minutes at dim 40
+    script = (
+        "from fractions import Fraction as F\n"
+        "from mrbleib.algebra import LeibnizAlgebra, OperatorContext\n"
+        "from mrbleib.deformation import TruncatedDeformation, is_residual_free\n"
+        "from mrbleib.linalg import Matrix\n"
+        "alg = LeibnizAlgebra(40, [(1, 1, 2, 1)])\n"
+        "ctx = OperatorContext(Matrix.identity(40), F(-1))\n"
+        "assert is_residual_free(TruncatedDeformation.trivial(alg, ctx, 2))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mrbleib.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr

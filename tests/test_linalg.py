@@ -10,7 +10,6 @@ from mrbleib.linalg import (
     flat_index,
     format_rational,
     kernel_basis,
-    kron,
     parse_rational,
     rank,
     rref,
@@ -73,7 +72,7 @@ def test_internal_results_hold_fractions():
     results = [
         m + m, m - m, -m, m.scale(3), m @ m, m.transpose(), m.hstack(m), m.vstack(m),
         Matrix.zeros(2, 3), Matrix.identity(2), Matrix.from_cols([m.column(1)]),
-        Matrix.diag_blocks(m, m), kron(m, m), rref(m)[0],
+        Matrix.diag_blocks(m, m), rref(m)[0],
         solve_with_free_zero(m, Matrix.identity(2)),
     ]
     for r in results:
@@ -238,8 +237,6 @@ def test_matrix_with_no_rows_keeps_its_columns():
     assert x == Matrix.zeros(3, 2)
     for m in (empty + empty, empty - empty, -empty, empty.scale(2)):
         assert (m.rows, m.cols) == (0, 3)
-    m = kron(empty, Matrix.identity(2))
-    assert (m.rows, m.cols) == (0, 6)
 
 
 def test_nonzeros_lists_entries_row_major():
@@ -268,7 +265,6 @@ def test_cancelled_entries_are_never_stored():
                                                  [-1, F(1, 2), 1, F(1, 2)], [0, -3, 0, 3]])),
         (Matrix.from_cols([(F(0), F(2))]), Matrix([[0], [2]])),
         (Matrix.diag_blocks(a, Matrix.zeros(1, 1)), Matrix([[1, F(1, 2), 0], [0, 3, 0], [0, 0, 0]])),
-        (kron(Matrix([[1, 0]]), a), Matrix([[1, F(1, 2), 0, 0], [0, 3, 0, 0]])),
         (Matrix._dense([[F(0), F(5)]], 2), Matrix([[0, 5]])),
         (Matrix._sparse([{1: F(5)}], 2), Matrix([[0, 5]])),
         (Matrix([[F(2, 4), F(0, 3)]]), Matrix._sparse([{0: F(1, 2)}], 2)),
@@ -334,14 +330,3 @@ def test_rational_strings():
 @given(small_fractions)
 def test_rational_round_trip(x):
     assert parse_rational(format_rational(F(x))) == F(x)
-
-
-def test_kron_against_definition():
-    a = Matrix([[1, 2], [0, 1]])
-    b = Matrix([[0, 1], [1, 0]])
-    k = kron(a, b)
-    for i in range(2):
-        for j in range(2):
-            for s in range(2):
-                for t in range(2):
-                    assert k[i * 2 + s, j * 2 + t] == a[i, j] * b[s, t]
