@@ -17,7 +17,9 @@ bracket evaluations.  ``mrb_defect`` is the order-0 case of
 ``_operator_residual``, whose higher orders are the operator part of the
 deformation equations (``mrbleib.deformation``).  ``rb_defect``,
 ``derived_algebra`` and the bracket section of ``morphism_defect`` are
-compositions too.  ``_report`` lists basis tuples in lexicographic order,
+compositions too, and so are the module laws and extension checks, on g + V
+(``mrbleib.representations``, ``mrbleib.extensions``).  ``_report`` lists
+basis tuples in lexicographic order,
 each residual a dense coordinate tuple, and drops residuals that cancel to
 zero, exactly as an evaluation on every basis tuple would
 (``tests/reference.py`` keeps those evaluations as oracles).
@@ -329,8 +331,11 @@ def mrb_defect(alg: LeibnizAlgebra, ctx: OperatorContext) -> DefectReport:
 def rb_defect(alg: LeibnizAlgebra, ctx: OperatorContext) -> DefectReport:
     """Residuals of [Tx,Ty] - T([Tx,y] + [x,Ty] + w[x,y]) on basis pairs."""
     _check_dims(alg, ctx)
-    t, w = ctx.operator, ctx.weight
-    mu = _constants(alg)
+    return _report(("rb", _rb_residual(_constants(alg), ctx.operator, ctx.weight), alg.dim))
+
+
+def _rb_residual(mu, t: Matrix, w) -> dict:
+    """[Tx,Ty] - T([Tx,y] + [x,Ty] + w[x,y]) for the bilinear map mu."""
     acc = {}
     _compose(acc, mu, t, t)
     mid = {}
@@ -339,7 +344,7 @@ def rb_defect(alg: LeibnizAlgebra, ctx: OperatorContext) -> DefectReport:
     if w:
         _compose(mid, mu, s=w)
     _apply_after(acc, t, mid, negate=True)
-    return _report(("rb", acc, alg.dim))
+    return acc
 
 
 def rb_to_mrb(alg: LeibnizAlgebra, ctx: OperatorContext) -> OperatorContext:

@@ -95,9 +95,6 @@ class Cochain:
     def dim_v(self) -> int:
         return self.values.rows
 
-    def space_dim(self, alg_dim: int) -> int:
-        return self.values.rows * alg_dim ** self.degree
-
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.degree != other.degree:
             raise DimensionMismatch("cochain degrees differ")
@@ -498,14 +495,17 @@ def cohomology_dimensions(
 
     With an operator context all three complexes are reported, otherwise
     only the Loday-Pirashvili one.  The budget caps the cell count of the
-    largest cochain space touched (degree max_degree + 1).  The algebra is
-    checked (NotLeibniz, and with an operator NotModifiedRotaBaxter, ...)
-    before any table is built; the module is not.
+    largest cochain space touched (degree max_degree + 1) and the number of
+    degrees, max_degree + 2.  The algebra is checked (NotLeibniz, and with
+    an operator NotModifiedRotaBaxter, ...) before any table is built; the
+    module is not.
     """
     if max_degree < 0:
         raise InvalidArgument(f"max degree must be at least 0, got {max_degree}")
     d = alg.dim
     dim_v = rep.dim_v
+    if max_degree + 2 > budget:  # each degree costs one cell at least
+        raise BudgetExceeded(f"{max_degree + 2} cochain degrees exceed budget {budget}")
     for n in range(max_degree + 2):
         cells = dim_v * d ** n
         if cells > budget:

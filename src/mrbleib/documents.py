@@ -107,6 +107,8 @@ def parse_document(text: str) -> AlgebraDocument:
     _require(isinstance(alg_obj, dict), "missing algebra object")
     dim = alg_obj.get("dim")
     _require(_is_count(dim), "algebra.dim must be a count")
+    # the algebra keeps a dense table of dim**3 bracket cells
+    _require(dim ** 3 <= 10 ** 7, f"algebra.dim {dim} is too large: over 10**7 bracket cells")
     bracket = _parse_bracket(alg_obj.get("bracket", []), dim)
     algebra = LeibnizAlgebra(dim, bracket)
     operator = None

@@ -7,6 +7,12 @@ splitting, so cocycle extraction genuinely exercises the section and
 retraction algebra.  The direct-sum model produced from a 2-cocycle is the
 canonical output going the other way, and the two directions are mutually
 inverse up to the isomorphisms built here.
+
+Every bracket is a composition on the bilinear core of ``mrbleib.algebra``:
+the total bracket meets the inclusion and projection in
+``validate_extension``, and the section, inclusion and retraction in
+``extract_cocycle`` (``tests/reference.py`` keeps the evaluations on dense
+vectors as oracles).
 """
 
 from __future__ import annotations
@@ -18,7 +24,11 @@ from .algebra import (
     DefectReport,
     LeibnizAlgebra,
     OperatorContext,
+    _apply_after,
     _collect,
+    _compose,
+    _constants,
+    _dense,
     leibniz_defect,
     morphism_defect,
     mrb_defect,
@@ -39,7 +49,7 @@ from .errors import (
     NotCohomologous,
     NotMRBRepresentation,
 )
-from .linalg import Matrix, ZERO, rank, solve_right_inverse, solve_with_free_zero
+from .linalg import Matrix, rank, solve_right_inverse, solve_with_free_zero
 from .representations import Representation, _direct_sum_entries, mrb_rep_defect, rep_defect
 
 
@@ -109,54 +119,40 @@ def validate_extension(ext: ExtensionData) -> DefectReport:
     Sections: exactness (p i = 0, both maps of full rank), operator-diagram
     (both commuting squares and equal weights), abelian (the fiber bracket
     vanishes), ideal-left / ideal-right (brackets with the fiber stay in the
-    fiber), projection-morphism, total-leibniz and total-mrb.
+    fiber), projection-morphism, total-leibniz and total-mrb.  The bracket
+    sections are compositions on the bilinear core; ideal-left at (t, b) is
+    followed by ideal-right at (b, t).
     """
     d, m = ext.base.dim, ext.fiber_dim
-    items = []
+
+    def renamed(section, entries):
+        return [(section, e.where, e.residual) for e in entries]
+
     pi = ext.proj @ ext.incl
-    for b in range(m):
-        items.append(("exactness", (b + 1,), pi.column(b)))
-    if rank(ext.incl) != m:
-        items.append(("exactness", (), (Fraction(m - rank(ext.incl)),)))
-    if rank(ext.proj) != d:
-        items.append(("exactness", (), (Fraction(d - rank(ext.proj)),)))
-    khat = ext.total_op.operator
-    left_square = khat @ ext.incl - ext.incl @ ext.fiber_op
-    for b in range(m):
-        items.append(("operator-diagram", (b + 1,), left_square.column(b)))
-    right_square = ext.proj @ khat - ext.base_op.operator @ ext.proj
-    for b in range(d + m):
-        items.append(("operator-diagram", (b + 1,), right_square.column(b)))
-    items.append(
-        ("operator-diagram", (), (ext.total_op.weight - ext.base_op.weight,))
-    )
-    icols = [ext.incl.column(b) for b in range(m)]
-    for a in range(m):
-        for b in range(m):
-            items.append(
-                ("abelian", (a + 1, b + 1), ext.total.bracket(icols[a], icols[b]))
-            )
-    for t in range(1, d + m + 1):
-        et = tuple(Fraction(1) if s == t - 1 else ZERO for s in range(d + m))
-        for b in range(m):
-            items.append(
-                ("ideal-left", (t, b + 1), ext.proj.apply(ext.total.bracket(et, icols[b])))
-            )
-            items.append(
-                ("ideal-right", (b + 1, t), ext.proj.apply(ext.total.bracket(icols[b], et)))
-            )
-    pcols = [ext.proj.column(t) for t in range(d + m)]
-    for s in range(1, d + m + 1):
-        for t in range(1, d + m + 1):
-            lhs = ext.proj.apply(ext.total.bracket_basis(s, t))
-            rhs = ext.base.bracket(pcols[s - 1], pcols[t - 1])
-            items.append(
-                ("projection-morphism", (s, t), tuple(a - b for a, b in zip(lhs, rhs)))
-            )
-    for defect in leibniz_defect(ext.total).entries:
-        items.append(("total-leibniz", defect.where, defect.residual))
-    for defect in mrb_defect(ext.total, ext.total_op).entries:
-        items.append(("total-mrb", defect.where, defect.residual))
+    items = [("exactness", (b + 1,), pi.column(b)) for b in range(m)]
+    for f, full in ((ext.incl, m), (ext.proj, d)):
+        items.append(("exactness", (), (Fraction(full - rank(f)),)))
+    left_square = ext.total_op.operator @ ext.incl - ext.incl @ ext.fiber_op
+    items += [("operator-diagram", (b + 1,), left_square.column(b)) for b in range(m)]
+    # p is a morphism of operator algebras: its operator section is the
+    # right square, its bracket section projection-morphism
+    morphism = morphism_defect(ext.total, ext.total_op, ext.base, ext.base_op, ext.proj)
+    items += renamed("operator-diagram", morphism.section("operator"))
+    items.append(("operator-diagram", (), (ext.total_op.weight - ext.base_op.weight,)))
+    mu = _constants(ext.total)
+    fiber, into_left, into_right = {}, {}, {}
+    _compose(fiber, mu, ext.incl, ext.incl)
+    items += [("abelian", (a + 1, b + 1), _dense(fiber[a, b], d + m)) for a, b in sorted(fiber)]
+    for acc, left, right in ((into_left, None, ext.incl), (into_right, ext.incl, None)):
+        raw = {}
+        _compose(raw, mu, left, right)
+        _apply_after(acc, ext.proj, raw)
+    for t, b in sorted({*into_left, *((t, b) for b, t in into_right)}):
+        items.append(("ideal-left", (t + 1, b + 1), _dense(into_left.get((t, b), {}), d)))
+        items.append(("ideal-right", (b + 1, t + 1), _dense(into_right.get((b, t), {}), d)))
+    items += renamed("projection-morphism", morphism.section("bracket"))
+    items += renamed("total-leibniz", leibniz_defect(ext.total).entries)
+    items += renamed("total-mrb", mrb_defect(ext.total, ext.total_op).entries)
     return _collect(items)
 
 
@@ -194,40 +190,41 @@ def extract_cocycle(
     if ext.proj @ section != Matrix.identity(d):
         raise NotASection("p s is not the identity")
     t = retraction_from(ext, section)
-    scols = [section.column(x) for x in range(d)]
-    icols = [ext.incl.column(b) for b in range(m)]
-    left = []
-    right = []
-    for x in range(d):
-        left.append(Matrix.from_cols(
-            [t.apply(ext.total.bracket(scols[x], icols[b])) for b in range(m)], m
-        ))
-        right.append(Matrix.from_cols(
-            [t.apply(ext.total.bracket(icols[b], scols[x])) for b in range(m)], m
-        ))
-    rep = Representation(m, tuple(left), tuple(right), ext.fiber_op)
-    psi_cols = []
-    for x in range(d):
-        for y in range(d):
-            inner = ext.total.bracket(scols[x], scols[y])
-            inner = tuple(
-                a - b for a, b in zip(inner, section.apply(ext.base.bracket_basis(x + 1, y + 1)))
-            )
-            psi_cols.append(t.apply(inner))
-    khat = ext.total_op.operator
-    chi_cols = []
-    for x in range(d):
-        vec = khat.apply(scols[x])
-        vec = tuple(a - b for a, b in zip(vec, section.apply(ext.base_op.operator.column(x))))
-        chi_cols.append(t.apply(vec))
-    pair = CocyclePair(
-        Cochain(2, Matrix.from_cols(psi_cols, m)),
-        Cochain(1, Matrix.from_cols(chi_cols, m)),
-    )
+    rep, pair = _read_off(ext, section, t)
     assert rep_defect(ext.base, rep).is_empty
     assert mrb_rep_defect(ext.base, ext.base_op, rep).is_empty
     assert classify_cochain(ext.base, ext.base_op, rep, pair.as_cone()).cocycle
     return rep, pair
+
+
+def _read_off(
+    ext: ExtensionData, section: Matrix, t: Matrix
+) -> tuple[Representation, CocyclePair]:
+    """The module and the cochain pair seen by a section s and a retraction
+    t, without the checks of ``extract_cocycle``.  Since i t s = s - s p s = 0
+    and i is injective, t s = 0: so psi(x,y) = t[s x, s y] and chi = t K s,
+    and the actions t[s x, i v], t[i v, s x] and psi are compositions on the
+    bilinear core."""
+    d, m = ext.base.dim, ext.fiber_dim
+    mu = _constants(ext.total)
+    seen = []
+    for left, right in ((section, ext.incl), (ext.incl, section), (section, section)):
+        raw, acc = {}, {}
+        _compose(raw, mu, left, right)
+        _apply_after(acc, t, raw)
+        seen.append(acc)
+
+    def cols(acc, keys):
+        return Matrix.from_cols([_dense(acc.get(k, {}), m) for k in keys], m)
+
+    rep = Representation(
+        m,
+        [cols(seen[0], [(x, b) for b in range(m)]) for x in range(d)],
+        [cols(seen[1], [(b, x) for b in range(m)]) for x in range(d)],
+        ext.fiber_op,
+    )
+    psi = cols(seen[2], [(x, y) for x in range(d) for y in range(d)])
+    return rep, CocyclePair(Cochain(2, psi), Cochain(1, t @ ext.total_op.operator @ section))
 
 
 def extension_from_cocycle(
@@ -256,14 +253,10 @@ def extension_from_cocycle(
     entries = _direct_sum_entries(alg, rep)
     entries.extend((i, j, d + a, c) for (i, j), a, c in cochain_entries(pair.psi, d))
     total = LeibnizAlgebra(d + m, entries)
-    op_rows = [
-        list(ctx.operator.row(i)) + [ZERO] * m for i in range(d)
-    ]
-    for a in range(m):
-        op_rows.append(list(pair.chi.values.row(a)) + list(rep.k_v.row(a)))
+    chi = Matrix.zeros(d, d).vstack(pair.chi.values).hstack(Matrix.zeros(d + m, m))
     ext = ExtensionData(
         total=total,
-        total_op=OperatorContext(Matrix(op_rows), ctx.weight),
+        total_op=OperatorContext(Matrix.diag_blocks(ctx.operator, rep.k_v) + chi, ctx.weight),
         incl=canonical_injection(d, m),
         proj=canonical_projection(d, m),
         base=alg,
@@ -310,12 +303,8 @@ def iso_from_gamma(
     phi_gamma = apply_phi(e1.base, e1.base_op, rep1, gamma)
     if c1.psi - c2.psi != delta_gamma or c1.chi - c2.chi != -phi_gamma:
         raise NotCohomologous("cocycle difference is not the coboundary of gamma")
-    rows = [
-        [Fraction(1) if j == i else ZERO for j in range(d + m)] for i in range(d)
-    ]
-    for a in range(m):
-        rows.append(list(gamma.values.row(a)) + [Fraction(1) if j == a else ZERO for j in range(m)])
-    zeta = Matrix(rows)
+    shear = Matrix.zeros(d, d + m).vstack(gamma.values.hstack(Matrix.zeros(m, m)))
+    zeta = Matrix.identity(d + m) + shear
     assert morphism_defect(e1.total, e1.total_op, e2.total, e2.total_op, zeta).is_empty
     assert zeta @ e1.incl == e2.incl
     assert e2.proj @ zeta == e1.proj

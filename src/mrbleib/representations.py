@@ -12,11 +12,15 @@ different weighted compatibility laws appear for the module operator:
 Conflating the two is the classic implementation bug, so each law has its
 own checker and the tests pin an instance on which they disagree.
 
-``rep_defect`` holds every action matrix by its nonzeros and forms the
-products of each pair of basis vectors from them, so its cost follows the
-nonzero actions rather than dense dim_v x dim_v products.  Its report lists
-the pairs (i, j) in lexicographic order and, for each pair, the sections
-left-left, left-right, right-right and right-absorb.
+Every module law is an identity on g + V.  ``_module_constants`` writes the
+actions as constants of the bracket of g + V (V's basis after g's, V
+abelian), the one encoding of a module, and each law is one call to the
+bilinear core of ``mrbleib.algebra`` on arguments with exactly one in V:
+the Leibniz identity (``rep_defect``), the operator identities of K + K_V
+(``mrb_rep_defect``, ``rb_rep_defect``), compositions with K and K_V
+(``induced_rep``).  Each residual at v_b is column b of a dim_v x dim_v
+matrix, flattened row-major in the reports (``tests/reference.py`` keeps
+the dense matrix products as oracles).
 """
 
 from __future__ import annotations
@@ -28,8 +32,13 @@ from .algebra import (
     DefectReport,
     LeibnizAlgebra,
     OperatorContext,
-    _collect,
+    _apply_after,
+    _compose,
+    _constants,
     _dense,
+    _leibniz_terms,
+    _operator_residual,
+    _rb_residual,
     leibniz_defect,
     mrb_defect,
     rb_defect,
@@ -43,7 +52,7 @@ from .errors import (
     NotModifiedRotaBaxter,
     NotRBRepresentation,
 )
-from .linalg import Matrix
+from .linalg import Matrix, ZERO
 
 
 @dataclass(frozen=True)
@@ -63,14 +72,6 @@ class Representation:
                 raise DimensionMismatch("action matrices must be dim_v x dim_v")
 
 
-def _combine(mats, vec, dim_v: int) -> Matrix:
-    out = Matrix.zeros(dim_v, dim_v)
-    for a, c in enumerate(vec):
-        if c:
-            out = out + mats[a].scale(c)
-    return out
-
-
 def _shape_check(alg: LeibnizAlgebra, rep: Representation):
     if len(rep.rho_left) != alg.dim or len(rep.rho_right) != alg.dim:
         raise DimensionMismatch(
@@ -78,48 +79,50 @@ def _shape_check(alg: LeibnizAlgebra, rep: Representation):
         )
 
 
+def _module_constants(d: int, rep: Representation):
+    """The actions as core constants on g + V, 0-based with V's basis after
+    g's: the left actions [x_i, v_b] = rhoL(x_i) v_b and the right actions
+    [v_b, x_i] = rhoR(x_i) v_b, as two lists."""
+    left = [(i, d + b, d + a, c) for i in range(d) for a, b, c in rep.rho_left[i].nonzeros()]
+    right = [(d + b, i, d + a, c) for i in range(d) for a, b, c in rep.rho_right[i].nonzeros()]
+    return left, right
+
+
 def _direct_sum_entries(alg: LeibnizAlgebra, rep: Representation) -> list:
-    """Structure constants (i, j, k, c) of the bracket on g + V (V's basis
-    after g's) with [x, v] = rhoL(x)v, [v, y] = rhoR(y)v and V abelian."""
-    d = alg.dim
-    entries = [(i, j, k, c) for (i, j, k), c in alg.entries]
-    for i in range(d):
-        for a, b, c in rep.rho_left[i].nonzeros():
-            entries.append((i + 1, d + b + 1, d + a + 1, c))
-        for a, b, c in rep.rho_right[i].nonzeros():
-            entries.append((d + b + 1, i + 1, d + a + 1, c))
-    return entries
+    """Structure constants (i, j, k, c), 1-based, of the bracket on g + V
+    with [x, v] = rhoL(x)v, [v, y] = rhoR(y)v and V abelian."""
+    left, right = _module_constants(alg.dim, rep)
+    return [(a + 1, b + 1, t + 1, c) for a, b, t, c in _constants(alg) + left + right]
 
 
-def _matrix_defects(section, where, m: Matrix):
-    """Flatten a residual matrix into one defect entry (row-major)."""
-    return (section, where, tuple(e for row in range(m.rows) for e in m.row(row)))
+def _on_direct_sum(alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation):
+    """The module constants and the operator K + K_V, after the shape checks."""
+    _shape_check(alg, rep)
+    if ctx.operator.rows != alg.dim:
+        raise DimensionMismatch("operator does not match algebra dimension")
+    left, right = _module_constants(alg.dim, rep)
+    return left, right, Matrix.diag_blocks(ctx.operator, rep.k_v)
 
 
-def _rows_of(nz):
-    """Nonzeros (row, column, value) grouped by row: row -> [(column, value)]."""
-    rows = {}
-    for r, c, v in nz:
-        rows.setdefault(r, []).append((c, v))
-    return rows
+def _by_action(acc: dict, d: int, n: int):
+    """Residuals at (x_i, v_b) and (v_b, x_i) of g + V, valued in V, as one
+    (left, right) pair per i of sparse dim_v x dim_v matrices: each maps
+    the row-major position of entry (a, b) to V-coordinate a at v_b."""
+    out = [({}, {}) for _ in range(d)]
+    for (x, y), res in acc.items():
+        i, side, b = (x, 0, y - d) if x < d else (y, 1, x - d)
+        for t, v in res.items():
+            out[i][side][(t - d) * n + b] = v
+    return out
 
 
-def _scaled_into(acc: dict, nz, c, n: int):
-    """acc += c * M, with M given by its nonzeros and acc keyed as below."""
-    for r, col, v in nz:
-        pos = r * n + col
-        acc[pos] = acc[pos] + c * v if pos in acc else c * v
-
-
-def _product_into(acc: dict, a_nz, b_rows: dict, n: int, negate: bool = False):
-    """acc += A @ B (or -= when ``negate``), with A given by its nonzeros,
-    B by its rows of nonzeros, and acc keyed by the flat row-major position
-    in an n x n matrix."""
-    for r, m, x in a_nz:
-        for c, y in b_rows.get(m, ()):
-            p = -x * y if negate else x * y
-            pos = r * n + c
-            acc[pos] = acc[pos] + p if pos in acc else p
+def _action_report(acc: dict, d: int, n: int) -> DefectReport:
+    return DefectReport(tuple(
+        Defect(section, (i + 1,), _dense(res, n * n))
+        for i, sides in enumerate(_by_action(acc, d, n))
+        for section, res in zip(("left", "right"), sides)
+        if any(res.values())
+    ))
 
 
 def rep_defect(alg: LeibnizAlgebra, rep: Representation) -> DefectReport:
@@ -129,84 +132,61 @@ def rep_defect(alg: LeibnizAlgebra, rep: Representation) -> DefectReport:
     diagnostic "right-absorb" (rhoR(y)(rhoL(x) + rhoR(x)) = 0), which is the
     difference of the last two axioms and pinpoints which pair fails.
 
-    Every rho_L(i) and rho_R(i) is held by its nonzeros, so the products of
-    each pair and the bracket terms cost what their nonzeros cost.  Entries
-    come pair by pair in lexicographic (i, j) order, the four sections in
-    the order above for each pair; each residual is the row-major flattening
-    of a dim_v x dim_v matrix.
+    The axioms are minus the Leibniz identity of g + V at (x_i, y_j, v) and
+    (x_i, v, y_j), and the identity at (v, x_i, y_j); only module constants
+    are outer brackets, so no triple inside g is evaluated.  Entries come
+    pair by pair in lexicographic (i, j) order, sections in the order above.
     """
     _shape_check(alg, rep)
     d, n = alg.dim, rep.dim_v
-    left = [m.nonzeros() for m in rep.rho_left]
-    right = [m.nonzeros() for m in rep.rho_right]
-    left_rows = [_rows_of(nz) for nz in left]
-    right_rows = [_rows_of(nz) for nz in right]
-    brackets = {}
-    for (i, j, t), c in alg.entries:
-        brackets.setdefault((i - 1, j - 1), []).append((t - 1, c))
-    entries = []
-    for i in range(d):
-        for j in range(d):
-            ll = {}
-            rb = {}
-            for t, c in brackets.get((i, j), ()):
-                _scaled_into(ll, left[t], c, n)
-                _scaled_into(rb, right[t], c, n)
-            _product_into(ll, left[i], left_rows[j], n, negate=True)
-            _product_into(ll, left[j], left_rows[i], n)
-            lr = dict(rb)
-            _product_into(lr, left[i], right_rows[j], n, negate=True)
-            _product_into(lr, right[j], left_rows[i], n)
-            rr = dict(rb)
-            _product_into(rr, left[i], right_rows[j], n, negate=True)
-            _product_into(rr, right[j], right_rows[i], n, negate=True)
-            ra = {}
-            _product_into(ra, right[j], left_rows[i], n)
-            _product_into(ra, right[j], right_rows[i], n)
-            for section, acc in (
-                ("left-left", ll), ("left-right", lr), ("right-right", rr), ("right-absorb", ra)
-            ):
-                if any(acc.values()):
-                    entries.append(Defect(section, (i + 1, j + 1), _dense(acc, n * n)))
-    return DefectReport(tuple(entries))
+    left, right = _module_constants(d, rep)
+    acc = {}
+    _leibniz_terms(acc, left + right, _constants(alg) + left + right)
+    pairs = {}
+    for (x, y, z), res in acc.items():
+        if z >= d:
+            key, k, b = (x, y), 0, z - d
+        elif y >= d:
+            key, k, b = (x, z), 1, y - d
+        else:
+            key, k, b = (y, z), 2, x - d
+        sections = pairs.setdefault(key, ({}, {}, {}, {}))
+        absorb = sections[3]
+        for t, v in res.items():
+            pos = (t - d) * n + b
+            sections[k][pos] = v if k == 2 else -v
+            if k:  # right-absorb is left-right minus right-right
+                absorb[pos] = absorb.get(pos, ZERO) - v
+    return DefectReport(tuple(
+        Defect(section, (i + 1, j + 1), _dense(res, n * n))
+        for (i, j), sections in sorted(pairs.items())
+        for section, res in zip(
+            ("left-left", "left-right", "right-right", "right-absorb"), sections
+        )
+        if any(res.values())
+    ))
 
 
 def mrb_rep_defect(
     alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation
 ) -> DefectReport:
-    """Residuals of the modified Rota-Baxter module law, per basis vector."""
-    _shape_check(alg, rep)
-    if ctx.operator.rows != alg.dim:
-        raise DimensionMismatch("operator does not match algebra dimension")
-    kv, w = rep.k_v, ctx.weight
-    items = []
-    for i in range(1, alg.dim + 1):
-        kx = ctx.operator.column(i - 1)
-        for section, mats in (("left", rep.rho_left), ("right", rep.rho_right)):
-            rho_kx = _combine(mats, kx, rep.dim_v)
-            rho_x = mats[i - 1]
-            res = rho_kx @ kv - kv @ (rho_kx + rho_x @ kv) - rho_x.scale(w)
-            items.append(_matrix_defects(section, (i,), res))
-    return _collect(items)
+    """Residuals of the modified Rota-Baxter module law, per basis vector:
+    the modified identity of K + K_V on g + V at (x_i, v) ("left") and at
+    (v, x_i) ("right")."""
+    left, right, kk = _on_direct_sum(alg, ctx, rep)
+    acc = _operator_residual([left + right], [kk], ctx.weight, 0)
+    return _action_report(acc, alg.dim, rep.dim_v)
 
 
 def rb_rep_defect(
     alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation
 ) -> DefectReport:
-    """Residuals of the (plain) Rota-Baxter module law, weight term inside."""
-    _shape_check(alg, rep)
-    if ctx.operator.rows != alg.dim:
-        raise DimensionMismatch("operator does not match algebra dimension")
-    tv, w = rep.k_v, ctx.weight
-    items = []
-    for i in range(1, alg.dim + 1):
-        tx = ctx.operator.column(i - 1)
-        for section, mats in (("left", rep.rho_left), ("right", rep.rho_right)):
-            rho_tx = _combine(mats, tx, rep.dim_v)
-            rho_x = mats[i - 1]
-            res = rho_tx @ tv - tv @ (rho_tx + rho_x @ tv + rho_x.scale(w))
-            items.append(_matrix_defects(section, (i,), res))
-    return _collect(items)
+    """Residuals of the (plain) Rota-Baxter module law, weight term inside:
+    the Rota-Baxter identity of T + T_V on g + V, laid out as in
+    ``mrb_rep_defect``."""
+    left, right, kk = _on_direct_sum(alg, ctx, rep)
+    acc = _rb_residual(left + right, kk, ctx.weight)
+    return _action_report(acc, alg.dim, rep.dim_v)
 
 
 def regular_rep(
@@ -250,24 +230,42 @@ def induced_rep(
     """The module over the derived algebra: rho_K(x) = rho(Kx) - K_V rho(x).
 
     Checked to be a genuine module over the derived bracket, and a modified
-    Rota-Baxter module for the same operator and weight.
+    Rota-Baxter module for the same operator and weight.  Both are theorems
+    when rep is a module, but rep's Leibniz module axioms are not checked
+    up front, so a failure raises ``NotMRBRepresentation``.
     """
     if not mrb_defect(alg, ctx).is_empty:
         raise NotModifiedRotaBaxter("operator fails the modified identity")
     if not mrb_rep_defect(alg, ctx, rep).is_empty:
         raise NotMRBRepresentation("module fails the modified module law")
-    kv = rep.k_v
-    left = []
-    right = []
-    for i in range(1, alg.dim + 1):
-        kx = ctx.operator.column(i - 1)
-        left.append(_combine(rep.rho_left, kx, rep.dim_v) - kv @ rep.rho_left[i - 1])
-        right.append(_combine(rep.rho_right, kx, rep.dim_v) - kv @ rep.rho_right[i - 1])
-    out = Representation(rep.dim_v, tuple(left), tuple(right), kv)
+    out = _induced(alg, ctx, rep)
     derived = derived_algebra(alg, ctx)
-    assert rep_defect(derived, out).is_empty
-    assert mrb_rep_defect(derived, ctx, out).is_empty
+    if not (rep_defect(derived, out).is_empty and mrb_rep_defect(derived, ctx, out).is_empty):
+        raise NotMRBRepresentation("module fails the Leibniz module axioms")
     return out
+
+
+def _induced(alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation) -> Representation:
+    """The actions rho(Kx) - K_V rho(x), without the checks of ``induced_rep``:
+    the left actions with K on their first argument, the right actions with
+    K on their second, minus K_V after the plain actions."""
+    left, right, kk = _on_direct_sum(alg, ctx, rep)
+    acc = {}
+    _compose(acc, left, ctx.operator, None)
+    _compose(acc, right, None, ctx.operator)
+    plain = {}
+    _compose(plain, left + right)
+    _apply_after(acc, kk, plain, negate=True)
+    n = rep.dim_v
+    mats = []
+    for sides in _by_action(acc, alg.dim, n):
+        for res in sides:
+            rows = [{} for _ in range(n)]
+            for pos, v in res.items():
+                if v:
+                    rows[pos // n][pos % n] = v
+            mats.append(Matrix._sparse(rows, n))
+    return Representation(n, mats[0::2], mats[1::2], rep.k_v)
 
 
 def semidirect(

@@ -5,7 +5,14 @@ the oracle for the integer elimination kernel of ``mrbleib._kernels_py``.
 
 ``mrb_defect`` and ``rep_defect`` evaluate each axiom on every basis pair
 with dense vectors and matrices, the oracle for the sparse checkers of
-``mrbleib.algebra`` and ``mrbleib.representations``.
+``mrbleib.algebra`` and ``mrbleib.representations``.  ``mrb_rep_defect``,
+``rb_rep_defect`` and ``induced_rep`` (the formula only, without the
+package's checks) do the same for the module laws and the induced module,
+by dense sums and products of action matrices (``_combine``,
+``_matrix_defects``).  ``validate_extension`` and ``read_off`` evaluate the
+total bracket of an extension on dense basis, inclusion, section and
+projection vectors: the oracles for ``mrbleib.extensions``, which composes
+them on the bilinear core.
 
 ``rb_defect``, ``derived_algebra`` and ``morphism_defect`` evaluate the
 bracket on dense coordinate vectors at every basis pair, and
@@ -29,6 +36,7 @@ code with the package, so it is the oracle the matrices and evaluators of
 """
 
 import itertools
+from fractions import Fraction
 
 from mrbleib import algebra
 from mrbleib.algebra import (
@@ -47,8 +55,22 @@ from mrbleib.cohomology import (
 )
 from mrbleib.deformation import TruncatedDeformation
 from mrbleib.errors import DimensionMismatch, NotLeibniz, NotModifiedRotaBaxter, OrderMismatch
-from mrbleib.linalg import ONE, ZERO, Matrix, flat_index, vec_is_zero, vec_sub
-from mrbleib.representations import _combine, _matrix_defects, _shape_check
+from mrbleib.extensions import CocyclePair
+from mrbleib.linalg import ONE, ZERO, Matrix, flat_index, rank, vec_is_zero, vec_sub
+from mrbleib.representations import Representation, _shape_check
+
+
+def _combine(mats, vec, dim_v):
+    out = Matrix.zeros(dim_v, dim_v)
+    for a, c in enumerate(vec):
+        if c:
+            out = out + mats[a].scale(c)
+    return out
+
+
+def _matrix_defects(section, where, m):
+    """Flatten a residual matrix into one defect entry (row-major)."""
+    return (section, where, tuple(e for row in range(m.rows) for e in m.row(row)))
 
 
 def vec_add(u, v):
@@ -314,6 +336,47 @@ def rep_defect(alg, rep) -> DefectReport:
     return _collect(items)
 
 
+def mrb_rep_defect(alg, ctx, rep) -> DefectReport:
+    """Residuals of the modified Rota-Baxter module law for each basis
+    vector, "left" then "right", by dense matrix products."""
+    return _module_law(alg, ctx, rep, lambda rho_kx, rho_x, kv, w: (
+        rho_kx @ kv - kv @ (rho_kx + rho_x @ kv) - rho_x.scale(w)
+    ))
+
+
+def rb_rep_defect(alg, ctx, rep) -> DefectReport:
+    """Residuals of the Rota-Baxter module law, weight term inside."""
+    return _module_law(alg, ctx, rep, lambda rho_tx, rho_x, tv, w: (
+        rho_tx @ tv - tv @ (rho_tx + rho_x @ tv + rho_x.scale(w))
+    ))
+
+
+def _module_law(alg, ctx, rep, law):
+    _shape_check(alg, rep)
+    if ctx.operator.rows != alg.dim:
+        raise DimensionMismatch("operator does not match algebra dimension")
+    items = []
+    for i in range(1, alg.dim + 1):
+        kx = ctx.operator.column(i - 1)
+        for section, mats in (("left", rep.rho_left), ("right", rep.rho_right)):
+            res = law(_combine(mats, kx, rep.dim_v), mats[i - 1], rep.k_v, ctx.weight)
+            items.append(_matrix_defects(section, (i,), res))
+    return _collect(items)
+
+
+def induced_rep(alg, ctx, rep):
+    """The actions rho(Kx) - K_V rho(x) by dense matrix sums, without the
+    checks of the package's ``induced_rep``."""
+    kv = rep.k_v
+    left = []
+    right = []
+    for i in range(1, alg.dim + 1):
+        kx = ctx.operator.column(i - 1)
+        left.append(_combine(rep.rho_left, kx, rep.dim_v) - kv @ rep.rho_left[i - 1])
+        right.append(_combine(rep.rho_right, kx, rep.dim_v) - kv @ rep.rho_right[i - 1])
+    return Representation(rep.dim_v, tuple(left), tuple(right), kv)
+
+
 def grid_search_operators(alg, weight, grid, mask=None):
     """Every matrix with entries from ``grid`` (``mask`` entries pinned) that
     passes ``mrb_defect``, the free entries enumerated in row-major order,
@@ -484,3 +547,88 @@ def equivalence_residuals(d1, d2, iso):
             items.append(("operator", (i,), diffk.column(i - 1)))
         reports.append(_collect(items))
     return tuple(reports)
+
+
+def validate_extension(ext) -> DefectReport:
+    """Every section of the package's ``validate_extension``, with the
+    brackets evaluated on dense basis and image vectors."""
+    d, m = ext.base.dim, ext.fiber_dim
+    items = []
+    pi = ext.proj @ ext.incl
+    for b in range(m):
+        items.append(("exactness", (b + 1,), pi.column(b)))
+    if rank(ext.incl) != m:
+        items.append(("exactness", (), (Fraction(m - rank(ext.incl)),)))
+    if rank(ext.proj) != d:
+        items.append(("exactness", (), (Fraction(d - rank(ext.proj)),)))
+    khat = ext.total_op.operator
+    left_square = khat @ ext.incl - ext.incl @ ext.fiber_op
+    for b in range(m):
+        items.append(("operator-diagram", (b + 1,), left_square.column(b)))
+    right_square = ext.proj @ khat - ext.base_op.operator @ ext.proj
+    for b in range(d + m):
+        items.append(("operator-diagram", (b + 1,), right_square.column(b)))
+    items.append(
+        ("operator-diagram", (), (ext.total_op.weight - ext.base_op.weight,))
+    )
+    icols = [ext.incl.column(b) for b in range(m)]
+    for a in range(m):
+        for b in range(m):
+            items.append(
+                ("abelian", (a + 1, b + 1), ext.total.bracket(icols[a], icols[b]))
+            )
+    for t in range(1, d + m + 1):
+        et = _basis(d + m, t)
+        for b in range(m):
+            items.append(
+                ("ideal-left", (t, b + 1), ext.proj.apply(ext.total.bracket(et, icols[b])))
+            )
+            items.append(
+                ("ideal-right", (b + 1, t), ext.proj.apply(ext.total.bracket(icols[b], et)))
+            )
+    pcols = [ext.proj.column(t) for t in range(d + m)]
+    for s in range(1, d + m + 1):
+        for t in range(1, d + m + 1):
+            lhs = ext.proj.apply(ext.total.bracket_basis(s, t))
+            rhs = ext.base.bracket(pcols[s - 1], pcols[t - 1])
+            items.append(("projection-morphism", (s, t), vec_sub(lhs, rhs)))
+    for defect in algebra.leibniz_defect(ext.total).entries:
+        items.append(("total-leibniz", defect.where, defect.residual))
+    for defect in mrb_defect(ext.total, ext.total_op).entries:
+        items.append(("total-mrb", defect.where, defect.residual))
+    return _collect(items)
+
+
+def read_off(ext, section, t):
+    """The module t[s x, i v], t[i v, s x] and the pair
+    psi(x,y) = t([s x, s y] - s[x,y]), chi(x) = t(K s x - s K x), each
+    evaluated on dense basis vectors, without any check."""
+    d, m = ext.base.dim, ext.fiber_dim
+    scols = [section.column(x) for x in range(d)]
+    icols = [ext.incl.column(b) for b in range(m)]
+    left = []
+    right = []
+    for x in range(d):
+        left.append(Matrix.from_cols(
+            [t.apply(ext.total.bracket(scols[x], icols[b])) for b in range(m)], m
+        ))
+        right.append(Matrix.from_cols(
+            [t.apply(ext.total.bracket(icols[b], scols[x])) for b in range(m)], m
+        ))
+    rep = Representation(m, tuple(left), tuple(right), ext.fiber_op)
+    psi_cols = []
+    for x in range(d):
+        for y in range(d):
+            inner = ext.total.bracket(scols[x], scols[y])
+            inner = vec_sub(inner, section.apply(ext.base.bracket_basis(x + 1, y + 1)))
+            psi_cols.append(t.apply(inner))
+    khat = ext.total_op.operator
+    chi_cols = []
+    for x in range(d):
+        vec = vec_sub(khat.apply(scols[x]), section.apply(ext.base_op.operator.column(x)))
+        chi_cols.append(t.apply(vec))
+    pair = CocyclePair(
+        Cochain(2, Matrix.from_cols(psi_cols, m)),
+        Cochain(1, Matrix.from_cols(chi_cols, m)),
+    )
+    return rep, pair

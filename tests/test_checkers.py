@@ -5,8 +5,10 @@ nonzero structure constants and operator or action entries; the oracles
 evaluate every axiom on every basis pair.  Reports must agree in entries,
 order, sections and residuals, on valid structures and on broken ones.
 The same holds for everything else written on the sparse bilinear core:
-``rb_defect``, ``derived_algebra``, ``morphism_defect`` and the
-deformation equations, formal isomorphisms and equivalence equations.
+``rb_defect``, ``derived_algebra``, ``morphism_defect``, the deformation
+equations, formal isomorphisms and equivalence equations, the module laws
+``mrb_rep_defect`` and ``rb_rep_defect``, the induced module, and the
+checks and read-off of abelian extensions.
 """
 
 from fractions import Fraction as F
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from fixtures import MRB_FIXTURES, SL2_ROT, SL2_ROT_K
+from fixtures import MRB_FIXTURES, SL2_ROT, SL2_ROT_K, change_basis
 from mrbleib.algebra import (
     Defect,
     LeibnizAlgebra,
@@ -25,7 +27,7 @@ from mrbleib.algebra import (
     mrb_defect,
     rb_defect,
 )
-from mrbleib.cohomology import Cochain, bracket_cochain
+from mrbleib.cohomology import Cochain, bracket_cochain, cochain_entries, zero_cochain
 from mrbleib.deformation import (
     FormalIso,
     TruncatedDeformation,
@@ -34,8 +36,29 @@ from mrbleib.deformation import (
     equivalence_residuals,
 )
 from mrbleib.errors import MrbError
-from mrbleib.linalg import Matrix
-from mrbleib.representations import Representation, regular_rep, rep_defect
+from mrbleib.extensions import (
+    CocyclePair,
+    ExtensionData,
+    _read_off,
+    canonical_injection,
+    canonical_projection,
+    extension_from_cocycle,
+    extract_cocycle,
+    retraction_from,
+    section_from_proj,
+    validate_extension,
+)
+from mrbleib.linalg import Matrix, solve_right_inverse
+from mrbleib.representations import (
+    Representation,
+    _direct_sum_entries,
+    _induced,
+    induced_rep,
+    mrb_rep_defect,
+    rb_rep_defect,
+    regular_rep,
+    rep_defect,
+)
 
 fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 
@@ -66,7 +89,8 @@ def outcome(f, *args):
 @st.composite
 def structures(draw):
     """An algebra of dim 0-5 with fractional constants, an operator and a
-    module that are usually not axiom-abiding, and the regular module."""
+    module (actions and module operator) that are usually not axiom-abiding,
+    and the regular module."""
     d = draw(st.integers(0, 5))
     alg = algebras(draw, d)
     ctx = OperatorContext(sparse_matrix(draw, d, draw(st.floats(0, 1))), draw(fractions))
@@ -76,7 +100,7 @@ def structures(draw):
         n,
         [sparse_matrix(draw, n, density) for _ in range(d)],
         [sparse_matrix(draw, n, density) for _ in range(d)],
-        Matrix.zeros(n, n),
+        sparse_matrix(draw, n, draw(st.floats(0, 1))),
     )
     return alg, ctx, module
 
@@ -86,9 +110,12 @@ def structures(draw):
 def test_sparse_checkers_match_the_dense_oracle(structure):
     alg, ctx, module = structure
     assert mrb_defect(alg, ctx) == reference.mrb_defect(alg, ctx)
-    assert rep_defect(alg, module) == reference.rep_defect(alg, module)
     regular = regular_rep(alg, ctx)
-    assert rep_defect(alg, regular) == reference.rep_defect(alg, regular)
+    for rep in (module, regular):
+        assert rep_defect(alg, rep) == reference.rep_defect(alg, rep)
+        assert mrb_rep_defect(alg, ctx, rep) == reference.mrb_rep_defect(alg, ctx, rep)
+        assert rb_rep_defect(alg, ctx, rep) == reference.rb_rep_defect(alg, ctx, rep)
+        assert _induced(alg, ctx, rep) == reference.induced_rep(alg, ctx, rep)
 
 
 @st.composite
@@ -148,6 +175,76 @@ CORE_FIXTURES = [(name, alg, ctx) for name, alg, ctx, _ in MRB_FIXTURES] + [
 def test_sparse_checkers_match_the_dense_oracle_on_fixtures(name, alg, ctx, rep):
     assert mrb_defect(alg, ctx) == reference.mrb_defect(alg, ctx)
     assert rep_defect(alg, rep) == reference.rep_defect(alg, rep)
+    assert mrb_rep_defect(alg, ctx, rep) == reference.mrb_rep_defect(alg, ctx, rep)
+    assert rb_rep_defect(alg, ctx, rep) == reference.rb_rep_defect(alg, ctx, rep)
+    assert induced_rep(alg, ctx, rep) == reference.induced_rep(alg, ctx, rep)
+    # a genuine extension: the semidirect product, read off at its canonical
+    # section, gives back the module and the zero pair
+    d, m = alg.dim, rep.dim_v
+    ext = extension_from_cocycle(
+        alg, ctx, rep, CocyclePair(zero_cochain(m, d, 2), zero_cochain(m, d, 1))
+    )
+    report = validate_extension(ext)
+    assert report.is_empty and report == reference.validate_extension(ext)
+    section = section_from_proj(ext)
+    read = extract_cocycle(ext, section)
+    assert read == reference.read_off(ext, section, retraction_from(ext, section))
+    assert read[0] == rep and read[1].psi.is_zero() and read[1].chi.is_zero()
+
+
+@st.composite
+def perturbed_extensions(draw):
+    """A direct-sum model over a fixture, twisted by a random pair (psi, chi)
+    that is usually not a cocycle, perturbed by one of: a nonzero fiber
+    bracket, brackets with the fiber on either side that leave the ideal, a
+    wrong projection entry, or nothing; then written in a random basis of the
+    total space."""
+    _, alg, ctx, rep = draw(st.sampled_from(MRB_FIXTURES))
+    d, m = alg.dim, rep.dim_v
+    n = d + m
+    density = draw(st.floats(0, 0.5))
+    psi = Cochain(2, sparse_matrix(draw, m, density, d * d))
+    chi = sparse_matrix(draw, m, density, d)
+    entries = _direct_sum_entries(alg, rep)
+    entries += [(i, j, d + a, c) for (i, j), a, c in cochain_entries(psi, d)]
+    op = Matrix.diag_blocks(ctx.operator, rep.k_v)
+    op = op + Matrix.zeros(d, d).vstack(chi).hstack(Matrix.zeros(n, m))
+    proj = canonical_projection(d, m)
+    kind = draw(st.sampled_from(["fiber", "ideal", "projection", "none"]))
+    fiber = st.integers(d + 1, n)
+    nonzero = fractions.filter(bool)
+    if kind == "fiber":
+        entries.append((draw(fiber), draw(fiber), draw(st.integers(1, n)), draw(nonzero)))
+    elif kind == "ideal":
+        base = st.integers(1, d)
+        entries.append((draw(base), draw(fiber), draw(base), draw(nonzero)))
+        entries.append((draw(fiber), draw(base), draw(base), draw(nonzero)))
+    elif kind == "projection":
+        hit = Matrix.zeros(d, n).to_lists()
+        hit[draw(st.integers(0, d - 1))][draw(st.integers(0, n - 1))] = draw(nonzero)
+        proj = proj + Matrix(hit)
+    # a unit upper triangular matrix with permuted columns is invertible
+    upper = sparse_matrix(draw, n, draw(st.floats(0, 0.5))).to_lists()
+    for i in range(n):
+        upper[i][:i + 1] = [F(0)] * i + [F(1)]
+    perm = draw(st.permutations(range(n)))
+    p = Matrix(upper) @ Matrix([[F(int(perm[j] == i)) for j in range(n)] for i in range(n)])
+    total, total_op = change_basis(LeibnizAlgebra(n, entries), OperatorContext(op, ctx.weight), p)
+    pinv = solve_right_inverse(p)
+    return ExtensionData(
+        total, total_op, pinv @ canonical_injection(d, m), proj @ p, alg, ctx, rep.k_v
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_extensions())
+def test_extension_checks_match_the_dense_oracles(ext):
+    assert validate_extension(ext) == reference.validate_extension(ext)
+    section = outcome(section_from_proj, ext)
+    if isinstance(section, Matrix):
+        t = outcome(retraction_from, ext, section)
+        if isinstance(t, Matrix):
+            assert _read_off(ext, section, t) == reference.read_off(ext, section, t)
 
 
 @pytest.mark.parametrize("name,alg,ctx", CORE_FIXTURES, ids=[f[0] for f in CORE_FIXTURES])

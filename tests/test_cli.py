@@ -1,9 +1,15 @@
+import io
 import json
+import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fixtures import AFF, G3, K0, ROT, Z1
+from fixtures import AFF, G3, K0, KZ, ROT, TRIV1, Z1
 from mrbleib.algebra import LeibnizAlgebra, OperatorContext
 from mrbleib.cli import build_parser, execute, main
 from mrbleib.cohomology import cone_differential, vec_to_cone
@@ -315,6 +321,16 @@ def test_cohomology_with_a_broken_module_fails(tmp_path, capsys):
     assert error_of(capsys, ["cohomology", doc]) == (1, "NotMRBRepresentation")
 
 
+def test_derived_with_a_broken_module_fails(tmp_path, capsys):
+    # K_V = 0 at weight 0 passes the modified module law for any actions, and
+    # these break the Leibniz module axioms; the derived bracket of (G3, KZ)
+    # is zero, so the induced actions fail them too
+    one = Matrix.identity(1)
+    bad = Representation(1, (one,) * 3, (one,) * 3, Matrix.zeros(1, 1))
+    doc = write(tmp_path, "bad-rep.json", serialize_document(AlgebraDocument(G3, KZ, bad)))
+    assert error_of(capsys, ["derived", doc]) == (1, "NotMRBRepresentation")
+
+
 def _with_true(tmp_path, where):
     """A document (and CLI arguments) with JSON ``true`` at ``where``."""
     if where == "dim":
@@ -411,3 +427,94 @@ def test_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, where):
     assert main(_wrongly_typed(tmp_path, where)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("mrbleib:")
+
+
+DIM0 = '{"field":"rational","algebra":{"dim":0,"bracket":[]}}'
+HUGE = '{"field":"rational","algebra":{"dim":%d,"bracket":[]}}' % 10 ** 30
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    # every degree counts as one cell at least, even when dim is 0
+    (DIM0, ["cohomology", "--max-degree", "1000000000"], "budget"),
+    (HUGE, ["check"], "too large"),
+])
+def test_hopeless_requests_are_refused_at_once(tmp_path, capsys, text, argv, message):
+    doc = write(tmp_path, "doc.json", text)
+    start = time.perf_counter()
+    assert main([argv[0], doc, *argv[1:]]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+SEEDS = [
+    G3_DOC,
+    AFF_DOC,
+    NOT_LEIBNIZ,
+    DIM0,
+    serialize_document(AlgebraDocument(G3, K0, TRIV1)),
+]
+COMMANDS = [
+    ("check",),
+    ("derived",),
+    ("search", "--weight", "0", "--grid", "0,1"),
+    ("cohomology", "--max-degree", "0"),
+    ("cohomology", "--max-degree", "2"),
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.sampled_from([216, 10 ** 30])
+    | st.sampled_from(["0", "1", "-1", "1/2", "2/0", "x", ""]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["dim", "bracket", "weight", "matrix", "dimV", "rhoL", "kV"]),
+        inner, max_size=3,
+    ),
+    max_leaves=8,
+)
+
+
+def paths(node, prefix=()):
+    """The paths to every value below node, as key tuples."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A seed document with one to three changes at random places below its
+    field tag: a scalar replaced by one of its type (a rational string, a
+    small count), any value replaced by a random JSON value, or deleted."""
+    doc = json.loads(draw(st.sampled_from(SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        # deepest first: the first choice is the one drawn most often
+        places = sorted((p for p in paths(doc) if p[0] != "field"), key=len, reverse=True)
+        if not places:
+            break
+        *where, key = draw(st.sampled_from(places))
+        parent = doc
+        for k in where:
+            parent = parent[k]
+        action = draw(st.sampled_from(["retype", "retype", "any", "delete"]))
+        old = parent[key]
+        if action == "delete":
+            del parent[key]
+        elif action == "retype" and isinstance(old, str):
+            parent[key] = draw(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2"]))
+        elif action == "retype" and type(old) is int:
+            parent[key] = draw(st.integers(0, 4))
+        else:
+            parent[key] = draw(json_values)
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents(), st.sampled_from(COMMANDS))
+@example(DIM0, ("cohomology", "--max-degree", "1000000000"))
+@example(HUGE, ("check",))
+def test_no_document_escapes_main(text, command):
+    # the document comes on standard input; reports and diagnostics are dropped
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main([command[0], "-", *command[1:]]) in (0, 1, 2)

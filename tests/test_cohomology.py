@@ -566,3 +566,21 @@ def test_degree_two_tables(name, alg, ctx, leib, op, cone):
     assert report.leibniz.cohomology_dims == leib
     assert report.operator.cohomology_dims == op
     assert report.cone.cohomology_dims == cone
+
+
+def test_known_answers_for_sl2():
+    # Ntolo, C. R. Acad. Sci. Paris 309 (1989): HL*(sl2, Q) is Q in degree 0
+    zero = Matrix.zeros(1, 1)
+    trivial = Representation(1, (zero,) * 3, (zero,) * 3, zero)
+    report = cohomology_dimensions(SL2, trivial, max_degree=6)
+    assert report.leibniz.cohomology_dims == (1, 0, 0, 0, 0, 0, 0)
+    # the adjoint module has no Leibniz cohomology at all
+    report = cohomology_dimensions(SL2, regular_rep(SL2), max_degree=5)
+    assert report.leibniz.cohomology_dims == (0,) * 6
+    # K = id of weight -1 with the regular module: rho_K = rho - K_V rho = 0,
+    # so the operator complex is that of sl2 (bracket doubled) with a trivial
+    # 3-dim module, Q^3 in degree 0 by Ntolo; the Leibniz side is zero, so
+    # the cone's long exact sequence gives H^1 = Q^3 and nothing else
+    report = cohomology_dimensions(SL2, regular_rep(SL2, SL2_ID), SL2_ID, max_degree=4)
+    assert report.operator.cohomology_dims == (3, 0, 0, 0, 0)
+    assert report.cone.cohomology_dims == (0, 3, 0, 0, 0)

@@ -77,6 +77,10 @@ def test_parse_errors():
         parse_document("not json")
     with pytest.raises(ParseError):
         parse_document('{"field":"real","algebra":{"dim":1,"bracket":[]}}')
+    # the dense bracket table of dim 216 would have more than 10**7 cells
+    for dim in (216, 10 ** 30):
+        with pytest.raises(ParseError, match="too large"):
+            parse_document('{"field":"rational","algebra":{"dim":%d,"bracket":[]}}' % dim)
 
 
 def test_deformation_document_round_trip():
