@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from .algebra import (
@@ -22,15 +23,11 @@ from .algebra import (
     mrb_defect,
 )
 from .cohomology import (
-    Cochain,
     ConeCochain,
-    apply_delta,
     classify_cochain,
     cohomology_dimensions,
-    cone_differential,
-    cone_space_dim,
-    cone_to_vec,
-    vec_to_cone,
+    cone_preimage,
+    fold_witness,
 )
 from .deformation import (
     deformation_residuals,
@@ -55,6 +52,7 @@ from .errors import (
     InvalidArgument,
     MrbError,
     NotACocycle,
+    NotAnExtension,
     NotMRBRepresentation,
     ParseError,
     UnknownCommand,
@@ -66,7 +64,7 @@ from .extensions import (
     section_from_proj,
     validate_extension,
 )
-from .linalg import Matrix, format_rational, parse_rational, solve_with_free_zero
+from .linalg import format_rational, parse_rational
 from .representations import (
     induced_rep,
     mrb_rep_defect,
@@ -122,13 +120,17 @@ def cmd_check(doc: AlgebraDocument):
     return sections, None
 
 
-def cmd_cohomology(doc: AlgebraDocument, max_degree: int, budget: int):
+def _checked_module(doc: AlgebraDocument):
+    """The document's effective module; one given in the document must pass
+    the Leibniz module axioms, which no later check covers."""
     rep = doc.effective_representation()
-    # cohomology_dimensions checks the algebra (and with an operator the
-    # modified module law), but not the module axioms of a module given in
-    # the document
     if doc.representation is not None and not rep_defect(doc.algebra, rep).is_empty:
         raise NotMRBRepresentation("module fails the Leibniz module axioms")
+    return rep
+
+
+def cmd_cohomology(doc: AlgebraDocument, max_degree: int, budget: int):
+    rep = _checked_module(doc)
     if rep is None:
         rep = regular_rep(doc.algebra)
     report = cohomology_dimensions(
@@ -148,7 +150,7 @@ def cmd_cohomology(doc: AlgebraDocument, max_degree: int, budget: int):
 def cmd_derived(doc: AlgebraDocument):
     if doc.operator is None:
         raise ParseError("derived requires a document with an operator")
-    rep = doc.effective_representation()
+    rep = _checked_module(doc)
     derived = derived_algebra(doc.algebra, doc.operator)
     induced = induced_rep(doc.algebra, doc.operator, rep)
     out = AlgebraDocument(derived, doc.operator, induced)
@@ -207,10 +209,11 @@ def cmd_deform(doc: AlgebraDocument, sub: str, deformation_text: str):
         reports = deformation_residuals(dfm)
         sections = [_section(f"order-{n}", r) for n, r in enumerate(reports)]
         return sections, None
+    if sub not in ("infinitesimal", "gauge"):
+        raise UnknownCommand(f"deform {sub}")
+    cone = infinitesimal(dfm)
+    cls = classify_cochain(dfm.algebra, dfm.ctx, regular_rep(dfm.algebra, dfm.ctx), cone)
     if sub == "infinitesimal":
-        cone = infinitesimal(dfm)
-        rep = regular_rep(dfm.algebra, dfm.ctx)
-        cls = classify_cochain(dfm.algebra, dfm.ctx, rep, cone)
         result = {
             "mu1": _cochain_json(cone.leib, dfm.algebra.dim),
             "k1": _matrix_json(cone.op.values),
@@ -218,23 +221,10 @@ def cmd_deform(doc: AlgebraDocument, sub: str, deformation_text: str):
             "coboundary": cls.coboundary,
         }
         return [], result
-    if sub == "gauge":
-        cone = infinitesimal(dfm)
-        rep = regular_rep(dfm.algebra, dfm.ctx)
-        cls = classify_cochain(dfm.algebra, dfm.ctx, rep, cone)
-        if not cls.coboundary:
-            sections = [
-                {
-                    "name": "gauge",
-                    "status": "fail",
-                    "residuals": [],
-                    "reason": "infinitesimal is not a coboundary",
-                }
-            ]
-            return sections, None
-        gauged = gauge_step(dfm, cls.witness)
-        return [], deformation_json(gauged)
-    raise UnknownCommand(f"deform {sub}")
+    if not cls.coboundary:
+        reason = "infinitesimal is not a coboundary"
+        return [{"name": "gauge", "status": "fail", "residuals": [], "reason": reason}], None
+    return [], deformation_json(gauge_step(dfm, cls.witness))
 
 
 def cmd_extend_build(doc: AlgebraDocument, cocycle_text: str):
@@ -281,24 +271,19 @@ def cmd_extend_compare(text1: str, text2: str):
         raise ParseError("extensions live over different base or fiber data")
     rep1, c1 = extract_cocycle(e1, section_from_proj(e1))
     rep2, c2 = extract_cocycle(e2, section_from_proj(e2))
-    d, m = e1.base.dim, e1.fiber_dim
-    target = ConeCochain(c1.psi - c2.psi, c1.chi - c2.chi)
-    d1 = cone_differential(e1.base, e1.base_op, rep1, 1)
-    rhs = Matrix.from_cols([cone_to_vec(target)], cone_space_dim(m, d, 2))
-    sol = solve_with_free_zero(d1, rhs)
-    if sol is None:
+    if rep1 != rep2:
+        raise ParseError("extensions induce different modules")
+    diff = ConeCochain(c1.psi - c2.psi, c1.chi - c2.chi)
+    witness = cone_preimage(e1.base, e1.base_op, rep1, diff)
+    if witness is None:
         sections = [{"name": "cohomologous", "status": "fail", "residuals": []}]
         return sections, {"cohomologous": False}
-    # fold the degree-0 part of the witness into gamma so that the cocycle
-    # difference is (delta gamma, -phi gamma) on the nose
-    witness = vec_to_cone(sol.column(0), m, d, 1)
-    gamma_vals = witness.leib.values + apply_delta(e1.base, rep1, witness.op).values
-    gamma = Cochain(1, gamma_vals)
+    # the cocycle difference is (delta gamma, -phi gamma) on the nose
+    gamma = fold_witness(e1.base, rep1, witness)
     result = {"cohomologous": True, "gamma": _matrix_json(gamma.values)}
     try:
-        zeta = iso_from_gamma(e1, e2, gamma)
-        result["zeta"] = _matrix_json(zeta)
-    except MrbError:
+        result["zeta"] = _matrix_json(iso_from_gamma(e1, e2, gamma))
+    except NotAnExtension:
         # not direct-sum models; the class comparison still stands
         pass
     sections = [{"name": "cohomologous", "status": "pass", "residuals": []}]
@@ -408,6 +393,17 @@ def execute(args) -> tuple[dict, int]:
     return report, 0 if passed else 1
 
 
+def _emit(report: dict) -> None:
+    """Print a report; if the reader has closed stdout, point stdout at the
+    null device, so the interpreter's final flush does not fail again."""
+    try:
+        print(json.dumps(report, indent=2), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -430,9 +426,8 @@ def main(argv=None) -> int:
             ],
             "status": "fail",
         }
-        print(json.dumps(report, indent=2))
-        return 1
-    print(json.dumps(report, indent=2))
+        code = 1
+    _emit(report)
     return code
 
 

@@ -539,6 +539,24 @@ class ClassifyResult:
     witness: ConeCochain | None
 
 
+def cone_preimage(
+    alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, c: ConeCochain
+) -> ConeCochain | None:
+    """The canonical b with d b = c (free variables zero) for c of degree
+    n >= 1, or None when c is not a coboundary."""
+    n = c.degree
+    target = Matrix.from_cols([cone_to_vec(c)], cone_space_dim(rep.dim_v, alg.dim, n))
+    sol = solve_with_free_zero(cone_differential(alg, ctx, rep, n - 1), target)
+    return None if sol is None else vec_to_cone(sol.column(0), rep.dim_v, alg.dim, n - 1)
+
+
+def fold_witness(alg: LeibnizAlgebra, rep: Representation, b: ConeCochain) -> Cochain:
+    """gamma = gamma' + delta x for a degree-1 b = (gamma', x), so that
+    d b = (delta gamma, -phi gamma): delta delta = 0, phi_0 = id and
+    phi delta = partial phi give phi delta x = partial x."""
+    return b.leib + apply_delta(alg, rep, b.op)
+
+
 def classify_cochain(
     alg: LeibnizAlgebra,
     ctx: OperatorContext,
@@ -547,17 +565,11 @@ def classify_cochain(
 ) -> ClassifyResult:
     """Decide cocycle (d c = 0) and coboundary (c in the image of d) status.
 
-    When c is a coboundary the canonical preimage (free variables zero) is
-    returned as witness.
+    The witness of a coboundary is its ``cone_preimage``; in degree 0 only
+    zero is a coboundary, with no witness.
     """
-    n = c.degree
     cocycle = apply_cone(alg, ctx, rep, c).is_zero()
-    if n == 0:
+    if c.degree == 0:
         return ClassifyResult(cocycle, c.is_zero(), None)
-    target = Matrix.from_cols([cone_to_vec(c)], cone_space_dim(rep.dim_v, alg.dim, n))
-    d_prev = cone_differential(alg, ctx, rep, n - 1)
-    sol = solve_with_free_zero(d_prev, target)
-    if sol is None:
-        return ClassifyResult(cocycle, False, None)
-    witness = vec_to_cone(sol.column(0), rep.dim_v, alg.dim, n - 1)
-    return ClassifyResult(cocycle, True, witness)
+    witness = cone_preimage(alg, ctx, rep, c)
+    return ClassifyResult(cocycle, witness is not None, witness)

@@ -40,11 +40,10 @@ from .cohomology import (
     Cochain,
     ConeCochain,
     apply_cone,
-    apply_delta,
     bracket_cochain,
-    classify_cochain,
     cochain_entries,
     cochain_from_entries,
+    fold_witness,
     operator_cochain,
     zero_cochain,
 )
@@ -156,8 +155,9 @@ def infinitesimal(dfm: TruncatedDeformation) -> ConeCochain:
         raise NotADeformation("deformation equations fail at order <= 1")
     cone = ConeCochain(dfm.mu[1], operator_cochain(dfm.kk[1]))
     rep = regular_rep(dfm.algebra, dfm.ctx)
-    result = classify_cochain(dfm.algebra, dfm.ctx, rep, cone)
-    assert result.cocycle, "infinitesimal of a deformation must be a cocycle"
+    assert apply_cone(dfm.algebra, dfm.ctx, rep, cone).is_zero(), (
+        "infinitesimal of a deformation must be a cocycle"
+    )
     return cone
 
 
@@ -286,9 +286,9 @@ def gauge_step(
     coboundary is the infinitesimal.
 
     The trivializer (psi_1', x) must satisfy d(psi_1', x) = (mu_1, K_1);
-    the gauge psi_t = id - psi_1 t with psi_1 = psi_1' + delta(x) then
-    produces a deformation with mu'_1 = 0 and K'_1 = 0 exactly, leaving
-    higher orders alone.
+    the gauge psi_t = id - psi_1 t with psi_1 = psi_1' + delta(x) (see
+    ``fold_witness``) then produces a deformation with mu'_1 = 0 and
+    K'_1 = 0 exactly, leaving higher orders alone.
     """
     if dfm.order < 1:
         raise OrderMismatch("nothing to gauge below order 1")
@@ -301,7 +301,7 @@ def gauge_step(
     target = ConeCochain(dfm.mu[1], operator_cochain(dfm.kk[1]))
     if image.leib != target.leib or image.op != target.op:
         raise NotACoboundaryWitness("coboundary of trivializer is not the infinitesimal")
-    psi1 = trivializer.leib.values + apply_delta(dfm.algebra, rep, trivializer.op).values
+    psi1 = fold_witness(dfm.algebra, rep, trivializer).values
     d = dfm.algebra.dim
     psis = [Matrix.identity(d), -psi1] + [Matrix.zeros(d, d)] * (dfm.order - 1)
     out = apply_formal_iso(dfm, FormalIso(tuple(psis)))

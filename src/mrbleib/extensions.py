@@ -13,6 +13,12 @@ the total bracket meets the inclusion and projection in
 ``validate_extension``, and the section, inclusion and retraction in
 ``extract_cocycle`` (``tests/reference.py`` keeps the evaluations on dense
 vectors as oracles).
+
+Extensions with one module are equivalent exactly when their cocycles
+differ by a cone coboundary: ``cohomology.cone_preimage`` finds a witness,
+``cohomology.fold_witness`` folds it into a cochain gamma, and
+``iso_from_gamma`` checks the shear of gamma by the definition of an
+equivalence, without extracting the cocycles again.
 """
 
 from __future__ import annotations
@@ -33,20 +39,15 @@ from .algebra import (
     morphism_defect,
     mrb_defect,
 )
-from .cohomology import (
-    Cochain,
-    ConeCochain,
-    apply_delta,
-    apply_phi,
-    classify_cochain,
-    cochain_entries,
-)
+from .cohomology import Cochain, ConeCochain, apply_cone, cochain_entries
 from .errors import (
     DimensionMismatch,
     NotACocycle,
     NotAnExtension,
     NotASection,
     NotCohomologous,
+    NotLeibniz,
+    NotModifiedRotaBaxter,
     NotMRBRepresentation,
 )
 from .linalg import Matrix, rank, solve_right_inverse, solve_with_free_zero
@@ -193,7 +194,7 @@ def extract_cocycle(
     rep, pair = _read_off(ext, section, t)
     assert rep_defect(ext.base, rep).is_empty
     assert mrb_rep_defect(ext.base, ext.base_op, rep).is_empty
-    assert classify_cochain(ext.base, ext.base_op, rep, pair.as_cone()).cocycle
+    assert apply_cone(ext.base, ext.base_op, rep, pair.as_cone()).is_zero()
     return rep, pair
 
 
@@ -239,7 +240,8 @@ def extension_from_cocycle(
     K(x+u) = K x + chi(x) + K_V u.
 
     Succeeds exactly when the pair is a 2-cocycle; otherwise raises
-    NotACocycle carrying the validation report.
+    NotACocycle carrying the validation report.  The base structure and the
+    module are checked first.
     """
     if not rep_defect(alg, rep).is_empty:
         raise NotMRBRepresentation("module fails the Leibniz module axioms")
@@ -250,6 +252,10 @@ def extension_from_cocycle(
         raise DimensionMismatch("psi shape does not match base and fiber")
     if pair.chi.values.rows != m or pair.chi.values.cols != d:
         raise DimensionMismatch("chi shape does not match base and fiber")
+    if not leibniz_defect(alg).is_empty:
+        raise NotLeibniz("base bracket fails the Leibniz identity")
+    if not mrb_defect(alg, ctx).is_empty:
+        raise NotModifiedRotaBaxter("operator fails the modified identity")
     entries = _direct_sum_entries(alg, rep)
     entries.extend((i, j, d + a, c) for (i, j), a, c in cochain_entries(pair.psi, d))
     total = LeibnizAlgebra(d + m, entries)
@@ -264,48 +270,34 @@ def extension_from_cocycle(
         fiber_op=rep.k_v,
     )
     report = validate_extension(ext)
-    cocycle = classify_cochain(alg, ctx, rep, pair.as_cone()).cocycle
-    assert report.is_empty == cocycle
+    assert report.is_empty == apply_cone(alg, ctx, rep, pair.as_cone()).is_zero()
     if not report.is_empty:
         raise NotACocycle(f"{len(report)} validation residuals", report)
     return ext
 
 
-def _require_direct_sum_models(e1: ExtensionData, e2: ExtensionData):
+def iso_from_gamma(e1: ExtensionData, e2: ExtensionData, gamma: Cochain) -> Matrix:
+    """The equivalence e1 -> e2 induced by gamma, zeta(x, u) = (x, gamma(x) + u).
+
+    e1 and e2 must be direct-sum models over the same base and fiber data
+    (else NotAnExtension), so zeta i1 = i2 and p2 zeta = p1 hold by
+    construction, and zeta is an equivalence exactly when it is a morphism of
+    operator algebras; that is checked by its definition (else
+    NotCohomologous).  For such models it holds exactly when both induce the
+    same module, which the brackets [x, v] and [v, x] force, and the cocycles
+    differ by the coboundary of gamma: psi1 - psi2 = delta gamma by the
+    brackets [x, y], chi1 - chi2 = K_V gamma - gamma K = -phi gamma by K.
+    """
     d, m = e1.base.dim, e1.fiber_dim
     if (e1.base, e1.base_op, e1.fiber_op) != (e2.base, e2.base_op, e2.fiber_op):
         raise NotAnExtension("extensions live over different base or fiber data")
     inj, proj = canonical_injection(d, m), canonical_projection(d, m)
-    for e in (e1, e2):
-        if e.incl != inj or e.proj != proj:
-            raise NotAnExtension("iso construction expects direct-sum models")
-
-
-def iso_from_gamma(
-    e1: ExtensionData, e2: ExtensionData, gamma: Cochain
-) -> Matrix:
-    """The isomorphism e1 -> e2 induced by gamma when the extracted cocycles
-    differ by its coboundary: cocycle(e1) = cocycle(e2) + (delta gamma, -phi gamma).
-
-    Returns the block map (x, u) -> (x, gamma(x) + u); it commutes with the
-    inclusions and projections and is verified to be a morphism of operator
-    algebras.
-    """
-    _require_direct_sum_models(e1, e2)
-    d, m = e1.base.dim, e1.fiber_dim
+    if any(e.incl != inj or e.proj != proj for e in (e1, e2)):
+        raise NotAnExtension("iso construction expects direct-sum models")
     if gamma.degree != 1 or gamma.values.rows != m or gamma.values.cols != d:
         raise DimensionMismatch("gamma must be a degree-1 cochain from base to fiber")
-    section = canonical_section(d, m)
-    rep1, c1 = extract_cocycle(e1, section)
-    rep2, c2 = extract_cocycle(e2, section)
-    assert rep1 == rep2
-    delta_gamma = apply_delta(e1.base, rep1, gamma)
-    phi_gamma = apply_phi(e1.base, e1.base_op, rep1, gamma)
-    if c1.psi - c2.psi != delta_gamma or c1.chi - c2.chi != -phi_gamma:
-        raise NotCohomologous("cocycle difference is not the coboundary of gamma")
     shear = Matrix.zeros(d, d + m).vstack(gamma.values.hstack(Matrix.zeros(m, m)))
     zeta = Matrix.identity(d + m) + shear
-    assert morphism_defect(e1.total, e1.total_op, e2.total, e2.total_op, zeta).is_empty
-    assert zeta @ e1.incl == e2.incl
-    assert e2.proj @ zeta == e1.proj
+    if not morphism_defect(e1.total, e1.total_op, e2.total, e2.total_op, zeta).is_empty:
+        raise NotCohomologous("zeta is not a morphism: the modules or the classes differ")
     return zeta

@@ -8,6 +8,8 @@ that and re-assert it once in test_algebra.
 from fractions import Fraction as F
 
 from mrbleib.algebra import LeibnizAlgebra, OperatorContext
+from mrbleib.cohomology import zero_cochain
+from mrbleib.extensions import CocyclePair, extension_from_cocycle
 from mrbleib.linalg import Matrix, solve_right_inverse
 from mrbleib.representations import Representation, regular_rep
 
@@ -36,6 +38,19 @@ SL2_ID = OperatorContext(Matrix.identity(3), F(-1))
 Z1 = LeibnizAlgebra(1, [])
 Z1_K = OperatorContext(Matrix([[2]]), F(3))
 Z1_ZERO = OperatorContext(Matrix([[0]]), F(0))
+
+
+def z1_extensions():
+    """Two direct-sum extensions of Z1 with K = 0 of weight 0 by a dim-1
+    fiber with K_V = 0 and zero cocycle: the abelian total, and the total
+    with [x, v] = v.  They induce different modules."""
+    zero, one = Matrix.zeros(1, 1), Matrix.identity(1)
+    pair = CocyclePair(zero_cochain(1, 1, 2), zero_cochain(1, 1, 1))
+    return tuple(
+        extension_from_cocycle(Z1, Z1_ZERO, Representation(1, (left,), (zero,), zero), pair)
+        for left in (zero, one)
+    )
+
 
 # one-dimensional module with zero action over (G3, K0); K_V = 2
 TRIV1 = Representation(

@@ -1,15 +1,20 @@
 import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fixtures import AFF, G3, K0, KZ, ROT, TRIV1, Z1
+import mrbleib
+from fixtures import AFF, G3, K0, KZ, ROT, TRIV1, Z1, z1_extensions
 from mrbleib.algebra import LeibnizAlgebra, OperatorContext
 from mrbleib.cli import build_parser, execute, main
 from mrbleib.cohomology import cone_differential, vec_to_cone
@@ -447,26 +452,174 @@ def test_hopeless_requests_are_refused_at_once(tmp_path, capsys, text, argv, mes
     assert captured.out == "" and message in captured.err
 
 
-SEEDS = [
-    G3_DOC,
-    AFF_DOC,
-    NOT_LEIBNIZ,
-    DIM0,
-    serialize_document(AlgebraDocument(G3, K0, TRIV1)),
-]
+def _compare_pairs():
+    """The two extensions of ``z1_extensions``, and the second with its
+    total in the swapped basis (v, x); no pair of them may compare."""
+    abelian, acting = (extension_json(e) for e in z1_extensions())
+    swapped = json.loads(json.dumps(acting))
+    swapped["total"]["algebra"]["bracket"] = [[2, 1, 1, "1"]]
+    swapped["incl"], swapped["proj"] = [["1"], ["0"]], [["0", "1"]]
+    return json.dumps(abelian), json.dumps(acting), json.dumps(swapped)
+
+
+ABELIAN_EXT, ACTING_EXT, SWAPPED_EXT = _compare_pairs()
+
+
+@pytest.mark.parametrize("other", [ACTING_EXT, SWAPPED_EXT], ids=["direct-sum", "swapped"])
+def test_compare_refuses_different_modules(tmp_path, capsys, other):
+    first = write(tmp_path, "abelian.json", ABELIAN_EXT)
+    second = write(tmp_path, "other.json", other)
+    assert main(["extend", "compare", first, second]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "different modules" in captured.err
+
+
+def _g3_cohomologous_extensions(tmp_path):
+    rep = regular_rep(G3, K0)
+    pair = CocyclePair(zero_cochain(3, 3, 2), zero_cochain(3, 3, 1))
+    gamma = Cochain(1, Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    shifted = CocyclePair(apply_delta(G3, rep, gamma), -apply_phi(G3, K0, rep, gamma))
+    return [
+        write(tmp_path, f"ext{k}.json", json.dumps(extension_json(
+            extension_from_cocycle(G3, K0, rep, p))))
+        for k, p in enumerate((pair, shifted))
+    ]
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of each ``module.function`` of mrbleib through every
+    alias the package holds of it."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in sys.modules.items() if n.startswith("mrbleib.")]
+    for name in names:
+        module, function = name.split(".")
+        fn = getattr(sys.modules[f"mrbleib.{module}"], function)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def test_compare_extracts_each_extension_once(tmp_path, monkeypatch):
+    ext1, ext2 = _g3_cohomologous_extensions(tmp_path)
+    counts = count_calls(monkeypatch, "extensions.validate_extension",
+                         "extensions.extract_cocycle")
+    report, code = run_cli(tmp_path, "extend", "compare", ext1, ext2)
+    assert code == 0 and "zeta" in report["result"]
+    assert counts == {"extensions.validate_extension": 2, "extensions.extract_cocycle": 2}
+
+
+def test_build_and_extract_classify_nothing(tmp_path, monkeypatch):
+    rep = regular_rep(G3, K0)
+    base = AlgebraDocument(G3, K0, rep)
+    doc = write(tmp_path, "base.json", serialize_document(base))
+    cone = vec_to_cone(kernel_basis(cone_differential(G3, K0, rep, 2))[4], 3, 3, 2)
+    cocycle = json.dumps(cocycle_json(CocyclePair(cone.leib, cone.op), base))
+    cpath = write(tmp_path, "cocycle.json", cocycle)
+    counts = count_calls(monkeypatch, "cohomology.classify_cochain")
+    report, code = run_cli(tmp_path, "extend", "build", doc, "--cocycle", cpath)
+    assert code == 0
+    epath = write(tmp_path, "ext.json", json.dumps(report["result"]))
+    assert run_cli(tmp_path, "extend", "extract", epath)[1] == 0
+    assert counts == {"cohomology.classify_cochain": 0}
+
+
+def test_derived_of_a_dimension_one_non_module_fails(tmp_path, capsys):
+    # the induced actions over the zero derived bracket pass, but the module
+    # itself fails right-absorb: rhoR(x) rhoL(x) + rhoR(x) rhoR(x) = 2
+    one = Matrix.identity(1)
+    bad = Representation(1, (one,), (one,), Matrix.zeros(1, 1))
+    doc = write(tmp_path, "bad-rep.json", serialize_document(
+        AlgebraDocument(Z1, OperatorContext(Matrix.zeros(1, 1), F(0)), bad)))
+    assert error_of(capsys, ["derived", doc]) == (1, "NotMRBRepresentation")
+
+
+def test_extend_build_over_a_non_leibniz_base_fails(tmp_path, capsys):
+    # [e1, e1] = e1 with the zero module: the module laws hold, the base
+    # does not, and that is reported before any cocycle check
+    zero = Matrix.zeros(1, 1)
+    base = AlgebraDocument(LeibnizAlgebra(1, [(1, 1, 1, 1)]), OperatorContext(zero, F(0)),
+                           Representation(1, (zero,), (zero,), zero))
+    doc = write(tmp_path, "base.json", serialize_document(base))
+    pair = CocyclePair(zero_cochain(1, 1, 2), zero_cochain(1, 1, 1))
+    cpath = write(tmp_path, "cocycle.json", json.dumps(cocycle_json(pair, base)))
+    assert error_of(capsys, ["extend", "build", doc, "--cocycle", cpath]) == (1, "NotLeibniz")
+
+
+def test_a_closed_stdout_ends_quietly(tmp_path):
+    # [e_i, e_j] = e_1 fails the Leibniz identity at all 512 triples: the
+    # report (about 150 KB) is more than a pipe holds, so the writer meets
+    # the closed pipe
+    bracket = [[i, j, 1, "1"] for i in range(1, 9) for j in range(1, 9)]
+    doc = write(tmp_path, "big.json", json.dumps(
+        {"field": "rational", "algebra": {"dim": 8, "bracket": bracket}}))
+    src = str(Path(mrbleib.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+        [sys.executable, "-c", "import sys; from mrbleib.cli import main; sys.exit(main())",
+         "check", doc],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _deformation_seed():
+    triv = TruncatedDeformation.trivial(AFF, ROT, 2)
+    iso = FormalIso((Matrix.identity(2), Matrix([[0, 1], [0, 0]]), Matrix.zeros(2, 2)))
+    return json.dumps(deformation_json(apply_formal_iso(triv, iso)))
+
+
+def _extension_seeds():
+    """A G3/K0 base with the module TRIV1, a nonzero cocycle over it, and two
+    cohomologous extensions built from that cocycle."""
+    base = AlgebraDocument(G3, K0, TRIV1)
+    cone = vec_to_cone(kernel_basis(cone_differential(G3, K0, TRIV1, 2))[0], 1, 3, 2)
+    pair = CocyclePair(cone.leib, cone.op)
+    gamma = Cochain(1, Matrix([[1, 0, 1]]))
+    shifted = CocyclePair(pair.psi + apply_delta(G3, TRIV1, gamma),
+                          pair.chi - apply_phi(G3, K0, TRIV1, gamma))
+    exts = [json.dumps(extension_json(extension_from_cocycle(G3, K0, TRIV1, p)))
+            for p in (pair, shifted)]
+    return serialize_document(base), json.dumps(cocycle_json(pair, base)), exts
+
+
+G3_TRIV_DOC, G3_COCYCLE, G3_EXTS = _extension_seeds()
+DEFORMATION = _deformation_seed()
+SEEDS = [G3_DOC, AFF_DOC, NOT_LEIBNIZ, DIM0, G3_TRIV_DOC]
+EXTENSIONS = G3_EXTS + [ABELIAN_EXT, ACTING_EXT]
+# (argv, alternative input tuples); @k names the k-th input, and input 0
+# comes on standard input
 COMMANDS = [
-    ("check",),
-    ("derived",),
-    ("search", "--weight", "0", "--grid", "0,1"),
-    ("cohomology", "--max-degree", "0"),
-    ("cohomology", "--max-degree", "2"),
+    *(((*argv[:1], "@0", *argv[1:]), [(t,) for t in SEEDS]) for argv in (
+        ("check",),
+        ("derived",),
+        ("search", "--weight", "0", "--grid", "0,1"),
+        ("cohomology", "--max-degree", "0"),
+        ("cohomology", "--max-degree", "2"),
+    )),
+    *((("deform", sub, "@0", "--deformation", "@1"), [(AFF_DOC, DEFORMATION)])
+      for sub in ("verify", "infinitesimal", "gauge")),
+    (("extend", "build", "@0", "--cocycle", "@1"), [(G3_TRIV_DOC, G3_COCYCLE)]),
+    (("extend", "extract", "@0"), [(t,) for t in EXTENSIONS]),
+    (("extend", "compare", "@0", "@1"), [tuple(G3_EXTS), (ABELIAN_EXT, ACTING_EXT)]),
 ]
+KEYS = ["dim", "bracket", "weight", "matrix", "dimV", "rhoL", "kV", "order", "mu", "psi", "incl"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 3) | st.sampled_from([216, 10 ** 30])
     | st.sampled_from(["0", "1", "-1", "1/2", "2/0", "x", ""]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
-        st.sampled_from(["dim", "bracket", "weight", "matrix", "dimV", "rhoL", "kV"]),
-        inner, max_size=3,
+        st.sampled_from(KEYS), inner, max_size=3,
     ),
     max_leaves=8,
 )
@@ -481,12 +634,11 @@ def paths(node, prefix=()):
         yield from paths(value, prefix + (key,))
 
 
-@st.composite
-def mutated_documents(draw):
-    """A seed document with one to three changes at random places below its
-    field tag: a scalar replaced by one of its type (a rational string, a
-    small count), any value replaced by a random JSON value, or deleted."""
-    doc = json.loads(draw(st.sampled_from(SEEDS)))
+def mutate(draw, text):
+    """text with one to three changes at random places below its field tag:
+    a scalar replaced by one of its type (a rational string, a small count),
+    any value replaced by a random JSON value, or deleted."""
+    doc = json.loads(text)
     for _ in range(draw(st.integers(1, 3))):
         # deepest first: the first choice is the one drawn most often
         places = sorted((p for p in paths(doc) if p[0] != "field"), key=len, reverse=True)
@@ -509,12 +661,32 @@ def mutated_documents(draw):
     return json.dumps(doc)
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutated_documents(), st.sampled_from(COMMANDS))
-@example(DIM0, ("cohomology", "--max-degree", "1000000000"))
-@example(HUGE, ("check",))
-def test_no_document_escapes_main(text, command):
-    # the document comes on standard input; reports and diagnostics are dropped
-    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
-            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        assert main([command[0], "-", *command[1:]]) in (0, 1, 2)
+@st.composite
+def mutated_requests(draw):
+    """A command with seed inputs, one of them mutated."""
+    argv, seeds = draw(st.sampled_from(COMMANDS))
+    texts = list(draw(st.sampled_from(seeds)))
+    k = draw(st.integers(0, len(texts) - 1))
+    texts[k] = mutate(draw, texts[k])
+    return argv, tuple(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_requests())
+@example((("cohomology", "@0", "--max-degree", "1000000000"), (DIM0,)))
+@example((("check", "@0"), (HUGE,)))
+@example((("extend", "compare", "@0", "@1"), (ABELIAN_EXT, ACTING_EXT)))
+@example((("extend", "compare", "@0", "@1"), (ABELIAN_EXT, SWAPPED_EXT)))
+def test_no_document_escapes_main(request):
+    argv, texts = request
+    # reports and diagnostics are dropped
+    with tempfile.TemporaryDirectory() as tmp:
+        names = ["-"]
+        for k, text in enumerate(texts[1:], 1):
+            names.append(os.path.join(tmp, f"{k}.json"))
+            with open(names[k], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [names[int(a[1:])] if a.startswith("@") else a for a in argv]
+        with mock.patch.object(sys, "stdin", io.StringIO(texts[0])), \
+                redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

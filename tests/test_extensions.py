@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fixtures import AFF, G3, K0, ROT, TRIV1
+from fixtures import AFF, G3, K0, ROT, TRIV1, z1_extensions
 from mrbleib.algebra import LeibnizAlgebra, OperatorContext, morphism_defect
 from mrbleib.cohomology import (
     Cochain,
@@ -294,6 +294,13 @@ def test_iso_from_gamma_rejects_non_coboundary_difference():
     if not dg.is_zero():
         with pytest.raises(NotCohomologous):
             iso_from_gamma(e, e, gamma)
+
+
+def test_iso_from_gamma_rejects_different_modules():
+    # the same (zero) cocycle over different modules
+    e1, e2 = z1_extensions()
+    with pytest.raises(NotCohomologous):
+        iso_from_gamma(e1, e2, zero_cochain(1, 1, 1))
 
 
 def test_round_trip_b_extract_then_build_is_isomorphic():
