@@ -89,9 +89,9 @@ def echelon(rows):
 def rref(rows, cols):
     """Reduced row echelon form of sparse rational rows with ``cols`` columns.
 
-    Returns ``(reduced_rows, pivot_cols)``: dense rows of ``Fraction``s, the
-    pivot rows first in pivot order and then the zero rows, every pivot entry
-    1 and the only nonzero entry in its column.
+    Returns ``(reduced_rows, pivot_cols)``: the pivot rows only (no zero
+    rows), in pivot order, each a dense list of ``cols`` ``Fraction``s whose
+    pivot entry is 1 and the only nonzero entry in its column.
     """
     forward = echelon(rows)
     pivots = sorted(forward)
@@ -111,5 +111,4 @@ def rref(rows, cols):
         for c, x in row.items():
             dense[c] = Fraction(x, piv)
         out.append(dense)
-    out.extend([_ZERO] * cols for _ in range(len(rows) - len(pivots)))
     return out, pivots

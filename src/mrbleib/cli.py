@@ -46,6 +46,7 @@ from .documents import (
     parse_deformation,
     parse_document,
     parse_extension,
+    representation_json,
 )
 from .errors import (
     BudgetExceeded,
@@ -231,9 +232,9 @@ def cmd_extend_build(doc: AlgebraDocument, cocycle_text: str):
     rep = doc.effective_representation()
     if doc.operator is None or rep is None:
         raise ParseError("extend build needs a document with operator (and representation)")
-    pair = parse_cocycle(cocycle_text, doc)
+    cocycle = parse_cocycle(cocycle_text, doc)
     try:
-        ext = extension_from_cocycle(doc.algebra, doc.operator, rep, pair)
+        ext = extension_from_cocycle(doc.algebra, doc.operator, rep, cocycle)
     except NotACocycle as exc:
         return [_section("cocycle", exc.report)], None
     sections = [
@@ -249,16 +250,11 @@ def cmd_extend_extract(ext_text: str):
     if not report.is_empty:
         return sections, None
     section = section_from_proj(ext)
-    rep, pair = extract_cocycle(ext, section)
+    rep, cocycle = extract_cocycle(ext, section)
     base_doc = AlgebraDocument(ext.base, ext.base_op, None)
     result = {
-        "representation": {
-            "dimV": rep.dim_v,
-            "rhoL": [_matrix_json(m) for m in rep.rho_left],
-            "rhoR": [_matrix_json(m) for m in rep.rho_right],
-            "kV": _matrix_json(rep.k_v),
-        },
-        "cocycle": cocycle_json(pair, base_doc),
+        "representation": representation_json(rep),
+        "cocycle": cocycle_json(cocycle, base_doc),
         "section": _matrix_json(section),
     }
     return sections, result
@@ -273,7 +269,7 @@ def cmd_extend_compare(text1: str, text2: str):
     rep2, c2 = extract_cocycle(e2, section_from_proj(e2))
     if rep1 != rep2:
         raise ParseError("extensions induce different modules")
-    diff = ConeCochain(c1.psi - c2.psi, c1.chi - c2.chi)
+    diff = ConeCochain(c1.leib - c2.leib, c1.op - c2.op)
     witness = cone_preimage(e1.base, e1.base_op, rep1, diff)
     if witness is None:
         sections = [{"name": "cohomologous", "status": "fail", "residuals": []}]

@@ -6,7 +6,8 @@ Three complexes are built as explicit matrices over the rationals:
   coefficients,
 * the operator complex (partial), which is the same construction applied
   to the derived bracket [x,y]_K = [Kx,y] + [x,Ky] with the induced module
-  rho_K(x) = rho(Kx) - K_V rho(x),
+  rho_K(x) = rho(Kx) - K_V rho(x), i.e. ``delta_matrix`` of the pair
+  ``operator_complex_pair`` returns,
 * the mapping cone of the comparison map Phi between them, shifted so that
   degree n holds a pair (degree-n cochain, degree-(n-1) operator cochain).
 
@@ -292,14 +293,6 @@ def operator_complex_pair(
     return derived_algebra(alg, ctx), induced_rep(alg, ctx, rep)
 
 
-def partial_matrix(
-    alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, n: int
-) -> Matrix:
-    """Matrix of the degree-n differential of the operator complex."""
-    derived, ind = operator_complex_pair(alg, ctx, rep)
-    return delta_matrix(derived, ind, n)
-
-
 def _phi_blocks(alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation, n: int):
     """The degree-n comparison map, one row block at a time (the identity
     at degree 0), in the form of ``_delta_blocks``.
@@ -369,8 +362,9 @@ def phi_matrix(
 
 @dataclass(frozen=True)
 class ConeCochain:
-    """Degree-n element of the cone complex: a pair (leib, op) with
-    deg(op) = deg(leib) - 1; the op half is absent in degree 0."""
+    """Degree-n element of the cone complex: cochains (leib, op) with values
+    in one module, deg(op) = deg(leib) - 1, op absent in degree 0.  In degree
+    2, the cocycle (psi, chi) of an abelian extension (``mrbleib.extensions``)."""
 
     leib: Cochain
     op: Cochain | None
@@ -381,6 +375,8 @@ class ConeCochain:
                 raise DimensionMismatch("degree-0 cone cochain has no operator half")
         elif self.op is None or self.op.degree != self.leib.degree - 1:
             raise DimensionMismatch("cone halves must have degrees n and n-1")
+        elif self.op.dim_v != self.leib.dim_v:
+            raise DimensionMismatch("both halves must share the fiber dimension")
 
     @property
     def degree(self) -> int:

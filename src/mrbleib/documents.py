@@ -15,10 +15,16 @@ import json
 from dataclasses import dataclass
 
 from .algebra import LeibnizAlgebra, OperatorContext
-from .cohomology import Cochain, bracket_cochain, cochain_entries, cochain_from_entries
+from .cohomology import (
+    Cochain,
+    ConeCochain,
+    bracket_cochain,
+    cochain_entries,
+    cochain_from_entries,
+)
 from .deformation import TruncatedDeformation
 from .errors import DuplicateKey, IndexOutOfRange, ParseError
-from .extensions import CocyclePair, ExtensionData
+from .extensions import ExtensionData
 from .linalg import Matrix, format_rational, parse_rational
 from .representations import Representation, regular_rep
 
@@ -157,14 +163,18 @@ def document_json(doc: AlgebraDocument):
             "matrix": _matrix_json(doc.operator.operator),
         }
     if doc.representation is not None:
-        rep = doc.representation
-        out["representation"] = {
-            "dimV": rep.dim_v,
-            "rhoL": [_matrix_json(m) for m in rep.rho_left],
-            "rhoR": [_matrix_json(m) for m in rep.rho_right],
-            "kV": _matrix_json(rep.k_v),
-        }
+        out["representation"] = representation_json(doc.representation)
     return out
+
+
+def representation_json(rep: Representation):
+    """The "representation" object of a document."""
+    return {
+        "dimV": rep.dim_v,
+        "rhoL": [_matrix_json(m) for m in rep.rho_left],
+        "rhoR": [_matrix_json(m) for m in rep.rho_right],
+        "kV": _matrix_json(rep.k_v),
+    }
 
 
 def serialize_document(doc: AlgebraDocument) -> str:
@@ -230,9 +240,9 @@ def deformation_json(dfm: TruncatedDeformation):
     }
 
 
-def parse_cocycle(text: str, base: AlgebraDocument) -> CocyclePair:
-    """Parse a cocycle file: psi entries [i, j, a, c], chi entries [i, a, c],
-    with a indexing the fiber basis of the base document's representation."""
+def parse_cocycle(text: str, base: AlgebraDocument) -> ConeCochain:
+    """Parse a cocycle file into a degree-2 cone cochain: psi [i, j, a, c],
+    chi [i, a, c], with a indexing the fiber of the base document's module."""
     data = _load_json(text)
     _require(isinstance(data, dict), "cocycle file must be an object")
     _require(data.get("field") == "rational", 'field must be "rational"')
@@ -259,15 +269,16 @@ def parse_cocycle(text: str, base: AlgebraDocument) -> CocyclePair:
             seen.add((*indices, a))
             entries.append((indices, a, parse_rational(c)))
         halves.append(cochain_from_entries(m, d, degree, entries))
-    return CocyclePair(*halves)
+    return ConeCochain(*halves)
 
 
-def cocycle_json(pair: CocyclePair, base: AlgebraDocument):
+def cocycle_json(c: ConeCochain, base: AlgebraDocument):
+    """The cocycle file of a degree-2 cone cochain (psi, chi) = (leib, op)."""
     return {
         "field": "rational",
         "baseDigest": document_digest(base),
-        "psi": _cochain_json(pair.psi, base.algebra.dim),
-        "chi": _cochain_json(pair.chi, base.algebra.dim),
+        "psi": _cochain_json(c.leib, base.algebra.dim),
+        "chi": _cochain_json(c.op, base.algebra.dim),
     }
 
 

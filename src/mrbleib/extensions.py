@@ -4,9 +4,12 @@ An abelian extension is a short exact sequence of operator algebras whose
 kernel has vanishing bracket.  Extensions are stored with explicit
 inclusion and projection matrices rather than assuming a direct-sum
 splitting, so cocycle extraction genuinely exercises the section and
-retraction algebra.  The direct-sum model produced from a 2-cocycle is the
-canonical output going the other way, and the two directions are mutually
-inverse up to the isomorphisms built here.
+retraction algebra.  The cocycle (psi, chi) a section sees is a degree-2
+``ConeCochain`` (psi its ``leib`` half, chi its ``op`` half).  The direct-sum
+model built from a cocycle is the canonical output going the other way, and
+the two directions are mutually inverse up to the isomorphisms built here.
+The zero cocycle gives the split extension, whose total space is the
+semidirect product (``semidirect``).
 
 Every bracket is a composition on the bilinear core of ``mrbleib.algebra``:
 the total bracket meets the inclusion and projection in
@@ -39,7 +42,7 @@ from .algebra import (
     morphism_defect,
     mrb_defect,
 )
-from .cohomology import Cochain, ConeCochain, apply_cone, cochain_entries
+from .cohomology import Cochain, ConeCochain, apply_cone, cochain_entries, zero_cone_cochain
 from .errors import (
     DimensionMismatch,
     NotACocycle,
@@ -51,7 +54,7 @@ from .errors import (
     NotMRBRepresentation,
 )
 from .linalg import Matrix, rank, solve_right_inverse, solve_with_free_zero
-from .representations import Representation, _direct_sum_entries, mrb_rep_defect, rep_defect
+from .representations import Representation, _module_constants, mrb_rep_defect, rep_defect
 
 
 @dataclass(frozen=True)
@@ -80,23 +83,6 @@ class ExtensionData:
     @property
     def fiber_dim(self) -> int:
         return self.incl.cols
-
-
-@dataclass(frozen=True)
-class CocyclePair:
-    """A degree-2 cochain and a degree-1 cochain with values in the fiber."""
-
-    psi: Cochain
-    chi: Cochain
-
-    def __post_init__(self):
-        if self.psi.degree != 2 or self.chi.degree != 1:
-            raise DimensionMismatch("cocycle pair must have degrees (2, 1)")
-        if self.psi.values.rows != self.chi.values.rows:
-            raise DimensionMismatch("both halves must share the fiber dimension")
-
-    def as_cone(self) -> ConeCochain:
-        return ConeCochain(self.psi, self.chi)
 
 
 def canonical_injection(d: int, m: int) -> Matrix:
@@ -174,13 +160,13 @@ def retraction_from(ext: ExtensionData, section: Matrix) -> Matrix:
 
 def extract_cocycle(
     ext: ExtensionData, section: Matrix
-) -> tuple[Representation, CocyclePair]:
+) -> tuple[Representation, ConeCochain]:
     """Read off the module structure and the 2-cocycle seen by a section.
 
     rhoL(x)v = t[s x, i v], rhoR(x)v = t[i v, s x],
     psi(x,y) = t([s x, s y] - s[x,y]), chi(x) = t(K s x - s K x).
-    The module is checked to satisfy both module laws, and the pair is
-    checked to be a cocycle; both are theorems for valid extensions.
+    The module is checked to satisfy both module laws, and (psi, chi) is
+    checked to be a cone cocycle; both are theorems for valid extensions.
     """
     report = validate_extension(ext)
     if not report.is_empty:
@@ -191,17 +177,17 @@ def extract_cocycle(
     if ext.proj @ section != Matrix.identity(d):
         raise NotASection("p s is not the identity")
     t = retraction_from(ext, section)
-    rep, pair = _read_off(ext, section, t)
+    rep, cocycle = _read_off(ext, section, t)
     assert rep_defect(ext.base, rep).is_empty
     assert mrb_rep_defect(ext.base, ext.base_op, rep).is_empty
-    assert apply_cone(ext.base, ext.base_op, rep, pair.as_cone()).is_zero()
-    return rep, pair
+    assert apply_cone(ext.base, ext.base_op, rep, cocycle).is_zero()
+    return rep, cocycle
 
 
 def _read_off(
     ext: ExtensionData, section: Matrix, t: Matrix
-) -> tuple[Representation, CocyclePair]:
-    """The module and the cochain pair seen by a section s and a retraction
+) -> tuple[Representation, ConeCochain]:
+    """The module and the cone cochain seen by a section s and a retraction
     t, without the checks of ``extract_cocycle``.  Since i t s = s - s p s = 0
     and i is injective, t s = 0: so psi(x,y) = t[s x, s y] and chi = t K s,
     and the actions t[s x, i v], t[i v, s x] and psi are compositions on the
@@ -225,41 +211,46 @@ def _read_off(
         ext.fiber_op,
     )
     psi = cols(seen[2], [(x, y) for x in range(d) for y in range(d)])
-    return rep, CocyclePair(Cochain(2, psi), Cochain(1, t @ ext.total_op.operator @ section))
+    return rep, ConeCochain(Cochain(2, psi), Cochain(1, t @ ext.total_op.operator @ section))
 
 
 def extension_from_cocycle(
     alg: LeibnizAlgebra,
     ctx: OperatorContext,
     rep: Representation,
-    pair: CocyclePair,
+    cocycle: ConeCochain,
 ) -> ExtensionData:
-    """The direct-sum model with bracket twisted by psi and operator by chi:
+    """The direct-sum model with bracket twisted by psi and operator by chi,
+    the halves of a degree-2 cone cochain (psi, chi):
 
     [x+u, y+v] = [x,y] + rhoL(x)v + rhoR(y)u + psi(x,y),
     K(x+u) = K x + chi(x) + K_V u.
 
-    Succeeds exactly when the pair is a 2-cocycle; otherwise raises
-    NotACocycle carrying the validation report.  The base structure and the
-    module are checked first.
+    Succeeds exactly when (psi, chi) is a cone cocycle; otherwise raises
+    NotACocycle carrying the validation report.  The module, the shapes and
+    the base structure are checked first, in this order.
     """
     if not rep_defect(alg, rep).is_empty:
         raise NotMRBRepresentation("module fails the Leibniz module axioms")
     if not mrb_rep_defect(alg, ctx, rep).is_empty:
         raise NotMRBRepresentation("module fails the modified module law")
     d, m = alg.dim, rep.dim_v
-    if pair.psi.values.rows != m or pair.psi.values.cols != d * d:
+    if cocycle.degree != 2:
+        raise DimensionMismatch("cocycle must be a degree-2 cone cochain")
+    psi, chi = cocycle.leib.values, cocycle.op.values
+    if psi.rows != m or psi.cols != d * d:
         raise DimensionMismatch("psi shape does not match base and fiber")
-    if pair.chi.values.rows != m or pair.chi.values.cols != d:
+    if chi.rows != m or chi.cols != d:
         raise DimensionMismatch("chi shape does not match base and fiber")
     if not leibniz_defect(alg).is_empty:
         raise NotLeibniz("base bracket fails the Leibniz identity")
     if not mrb_defect(alg, ctx).is_empty:
         raise NotModifiedRotaBaxter("operator fails the modified identity")
-    entries = _direct_sum_entries(alg, rep)
-    entries.extend((i, j, d + a, c) for (i, j), a, c in cochain_entries(pair.psi, d))
+    left, right = _module_constants(d, rep)
+    entries = [(a + 1, b + 1, t + 1, c) for a, b, t, c in _constants(alg) + left + right]
+    entries.extend((i, j, d + a, c) for (i, j), a, c in cochain_entries(cocycle.leib, d))
     total = LeibnizAlgebra(d + m, entries)
-    chi = Matrix.zeros(d, d).vstack(pair.chi.values).hstack(Matrix.zeros(d + m, m))
+    chi = Matrix.zeros(d, d).vstack(chi).hstack(Matrix.zeros(d + m, m))
     ext = ExtensionData(
         total=total,
         total_op=OperatorContext(Matrix.diag_blocks(ctx.operator, rep.k_v) + chi, ctx.weight),
@@ -270,10 +261,23 @@ def extension_from_cocycle(
         fiber_op=rep.k_v,
     )
     report = validate_extension(ext)
-    assert report.is_empty == apply_cone(alg, ctx, rep, pair.as_cone()).is_zero()
+    assert report.is_empty == apply_cone(alg, ctx, rep, cocycle).is_zero()
     if not report.is_empty:
         raise NotACocycle(f"{len(report)} validation residuals", report)
     return ext
+
+
+def semidirect(
+    alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation
+) -> tuple[LeibnizAlgebra, OperatorContext]:
+    """Semidirect product on g + V with operator K + K_V, same weight: the
+    total space of the split extension (the zero class), checked as every
+    extension is; with dim V = 0, the algebra and operator given.  Basis
+    order: g's, then V's; [x, v] = rhoL(x)v, [v, y] = rhoR(y)v, V abelian."""
+    ext = extension_from_cocycle(alg, ctx, rep, zero_cone_cochain(rep.dim_v, alg.dim, 2))
+    if rep.dim_v == 0:
+        return alg, ctx
+    return ext.total, ext.total_op
 
 
 def iso_from_gamma(e1: ExtensionData, e2: ExtensionData, gamma: Cochain) -> Matrix:

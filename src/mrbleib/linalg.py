@@ -15,8 +15,8 @@ stacking work on the nonzeros only and drop entries that cancel.
 Elimination runs in one kernel, ``_kernels_py``, over sparse integer rows.
 ``rank`` runs only its forward pass (``_kernels_py.echelon``); ``rref``,
 ``kernel_basis`` and ``solve_with_free_zero`` add the back-substitution
-(``_kernels_py.rref``).  The reduced echelon form is unique, so results
-never depend on the pivoting order.
+(``_kernels_py.rref``), which returns the pivot rows only.  The reduced
+echelon form is unique, so results never depend on the pivoting order.
 
 ``Matrix(data)`` is the constructor for input from outside the package: it
 coerces every entry with ``Fraction()`` and rejects ragged rows.  Matrices
@@ -29,6 +29,7 @@ row, so a matrix with no rows keeps its columns.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from . import _kernels_py as _kernels
@@ -36,10 +37,12 @@ from .errors import DimensionMismatch, NotSurjective, ParseError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" with an optional leading minus on p; q > 0.
+    """Parse "p" or "p/q" in ASCII digits, with an optional minus (or U+2212)
+    on p and no sign on q; q > 0.  Surrounding whitespace is ignored.
 
     Rationals travel as strings, so anything else (a JSON number, say) is a
     ParseError too.
@@ -47,20 +50,14 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"bad rational {text!r}: expected a string")
     s = text.strip().replace("−", "-")
+    if not _RATIONAL.fullmatch(s):
+        raise ParseError(f"bad rational {text!r}")
     num, sep, den = s.partition("/")
-    try:
-        p = int(num, 10)
+    try:  # past the interpreter's digit limit int() refuses
+        p, q = int(num), int(den) if sep else 1
     except ValueError:
         raise ParseError(f"bad rational {text!r}") from None
-    if num.startswith("+"):
-        raise ParseError(f"bad rational {text!r}: explicit '+' not allowed")
-    if not sep:
-        return Fraction(p)
-    try:
-        q = int(den, 10)
-    except ValueError:
-        raise ParseError(f"bad rational {text!r}") from None
-    if q <= 0:
+    if q == 0:
         raise ParseError(f"bad rational {text!r}: denominator must be positive")
     return Fraction(p, q)
 
@@ -282,9 +279,11 @@ class Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
+    """Reduced row echelon form and pivot columns; the zero rows come last,
+    so the form keeps the shape of ``m``."""
     reduced, pivots = _kernels.rref(m._rows, m.cols)
-    return Matrix._dense(reduced, m.cols), tuple(pivots)
+    zero_rows = Matrix.zeros(m.rows - len(pivots), m.cols)
+    return Matrix._dense(reduced, m.cols).vstack(zero_rows), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

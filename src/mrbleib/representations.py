@@ -20,7 +20,9 @@ the Leibniz identity (``rep_defect``), the operator identities of K + K_V
 (``mrb_rep_defect``, ``rb_rep_defect``), compositions with K and K_V
 (``induced_rep``).  Each residual at v_b is column b of a dim_v x dim_v
 matrix, flattened row-major in the reports (``tests/reference.py`` keeps
-the dense matrix products as oracles).
+the dense matrix products as oracles).  The same constants build the
+algebra g + V itself in ``extensions.extension_from_cocycle``, whose zero
+class is the semidirect product (``extensions.semidirect``).
 """
 
 from __future__ import annotations
@@ -39,15 +41,12 @@ from .algebra import (
     _leibniz_terms,
     _operator_residual,
     _rb_residual,
-    leibniz_defect,
     mrb_defect,
-    rb_defect,
     derived_algebra,
     rb_to_mrb,
 )
 from .errors import (
     DimensionMismatch,
-    NotLeibniz,
     NotMRBRepresentation,
     NotModifiedRotaBaxter,
     NotRBRepresentation,
@@ -86,13 +85,6 @@ def _module_constants(d: int, rep: Representation):
     left = [(i, d + b, d + a, c) for i in range(d) for a, b, c in rep.rho_left[i].nonzeros()]
     right = [(d + b, i, d + a, c) for i in range(d) for a, b, c in rep.rho_right[i].nonzeros()]
     return left, right
-
-
-def _direct_sum_entries(alg: LeibnizAlgebra, rep: Representation) -> list:
-    """Structure constants (i, j, k, c), 1-based, of the bracket on g + V
-    with [x, v] = rhoL(x)v, [v, y] = rhoR(y)v and V abelian."""
-    left, right = _module_constants(alg.dim, rep)
-    return [(a + 1, b + 1, t + 1, c) for a, b, t, c in _constants(alg) + left + right]
 
 
 def _on_direct_sum(alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation):
@@ -267,27 +259,3 @@ def _induced(alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation) -> 
             mats.append(Matrix._sparse(rows, n))
     return Representation(n, mats[0::2], mats[1::2], rep.k_v)
 
-
-def semidirect(
-    alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation
-) -> tuple[LeibnizAlgebra, OperatorContext]:
-    """Semidirect product on g + V with operator K + K_V, same weight.
-
-    Basis order: algebra basis first, then module basis.  The mixed
-    brackets are [x, v] = rhoL(x)v and [v, y] = rhoR(y)v; V is abelian.
-    """
-    if not leibniz_defect(alg).is_empty:
-        raise NotLeibniz("base bracket fails the Leibniz identity")
-    if not mrb_defect(alg, ctx).is_empty:
-        raise NotModifiedRotaBaxter("operator fails the modified identity")
-    if not rep_defect(alg, rep).is_empty:
-        raise NotMRBRepresentation("module fails the Leibniz module axioms")
-    if not mrb_rep_defect(alg, ctx, rep).is_empty:
-        raise NotMRBRepresentation("module fails the modified module law")
-    if rep.dim_v == 0:
-        return alg, ctx
-    total = LeibnizAlgebra(alg.dim + rep.dim_v, _direct_sum_entries(alg, rep))
-    op = OperatorContext(Matrix.diag_blocks(ctx.operator, rep.k_v), ctx.weight)
-    assert leibniz_defect(total).is_empty
-    assert mrb_defect(total, op).is_empty
-    return total, op

@@ -8,8 +8,8 @@ that and re-assert it once in test_algebra.
 from fractions import Fraction as F
 
 from mrbleib.algebra import LeibnizAlgebra, OperatorContext
-from mrbleib.cohomology import zero_cochain
-from mrbleib.extensions import CocyclePair, extension_from_cocycle
+from mrbleib.cohomology import zero_cone_cochain
+from mrbleib.extensions import extension_from_cocycle
 from mrbleib.linalg import Matrix, solve_right_inverse
 from mrbleib.representations import Representation, regular_rep
 
@@ -45,7 +45,7 @@ def z1_extensions():
     fiber with K_V = 0 and zero cocycle: the abelian total, and the total
     with [x, v] = v.  They induce different modules."""
     zero, one = Matrix.zeros(1, 1), Matrix.identity(1)
-    pair = CocyclePair(zero_cochain(1, 1, 2), zero_cochain(1, 1, 1))
+    pair = zero_cone_cochain(1, 1, 2)
     return tuple(
         extension_from_cocycle(Z1, Z1_ZERO, Representation(1, (left,), (zero,), zero), pair)
         for left in (zero, one)

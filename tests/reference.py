@@ -49,13 +49,13 @@ from mrbleib.algebra import (
 )
 from mrbleib.cohomology import (
     Cochain,
+    ConeCochain,
     cochain_to_vec,
     operator_complex_pair,
     phi_weight,
 )
 from mrbleib.deformation import TruncatedDeformation
 from mrbleib.errors import DimensionMismatch, NotLeibniz, NotModifiedRotaBaxter, OrderMismatch
-from mrbleib.extensions import CocyclePair
 from mrbleib.linalg import ONE, ZERO, Matrix, flat_index, rank, vec_is_zero, vec_sub
 from mrbleib.representations import Representation, _shape_check
 
@@ -627,7 +627,7 @@ def read_off(ext, section, t):
     for x in range(d):
         vec = vec_sub(khat.apply(scols[x]), section.apply(ext.base_op.operator.column(x)))
         chi_cols.append(t.apply(vec))
-    pair = CocyclePair(
+    pair = ConeCochain(
         Cochain(2, Matrix.from_cols(psi_cols, m)),
         Cochain(1, Matrix.from_cols(chi_cols, m)),
     )

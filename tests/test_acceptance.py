@@ -47,10 +47,10 @@ from mrbleib.cohomology import (
     cone_space_dim,
     delta_matrix,
     operator_complex_pair,
-    partial_matrix,
     phi_matrix,
     vec_to_cone,
     zero_cochain,
+    zero_cone_cochain,
 )
 from mrbleib.deformation import (
     FormalIso,
@@ -68,11 +68,11 @@ from mrbleib.documents import (
     serialize_document,
 )
 from mrbleib.extensions import (
-    CocyclePair,
     extension_from_cocycle,
     extract_cocycle,
     iso_from_gamma,
     section_from_proj,
+    semidirect,
     validate_extension,
 )
 from mrbleib.errors import NotACocycle
@@ -83,7 +83,6 @@ from mrbleib.representations import (
     mrb_rep_defect,
     regular_rep,
     rep_defect,
-    semidirect,
 )
 
 
@@ -154,9 +153,10 @@ def test_criterion_4_chain_map():
         for name, alg, ctx, rep in CHAIN_MAP_FIXTURES:
             assert alg.dim <= 3 and rep.dim_v <= 3
             weights.add(ctx.weight == 0)
+            derived, ind = operator_complex_pair(alg, ctx, rep)
             for n in range(4):
                 lhs = phi_matrix(alg, ctx, rep, n + 1) @ delta_matrix(alg, rep, n)
-                rhs = partial_matrix(alg, ctx, rep, n) @ phi_matrix(alg, ctx, rep, n)
+                rhs = delta_matrix(derived, ind, n) @ phi_matrix(alg, ctx, rep, n)
                 assert lhs == rhs, (name, n)
         assert len(CHAIN_MAP_FIXTURES) >= 4
         assert weights == {True, False}
@@ -253,13 +253,12 @@ def test_criterion_8_extensions():
         for _ in range(20):
             coeffs = [F(rng.randint(-3, 3)) for _ in kern]
             vec = [sum(c * v[i] for c, v in zip(coeffs, kern)) for i in range(len(kern[0]))]
-            cone = vec_to_cone(vec, 1, 3, 2)
-            pair = CocyclePair(cone.leib, cone.op)
+            pair = vec_to_cone(vec, 1, 3, 2)
             ext = extension_from_cocycle(G3, K0, rep, pair)
             assert validate_extension(ext).is_empty
             s = section_from_proj(ext)
             _, recovered = extract_cocycle(ext, s)
-            assert recovered.psi == pair.psi and recovered.chi == pair.chi
+            assert recovered.leib == pair.leib and recovered.op == pair.op
             built += 1
         assert built == 20
         rejected = 0
@@ -271,7 +270,7 @@ def test_criterion_8_extensions():
             if classify_cochain(G3, K0, rep, cone).cocycle:
                 continue
             with pytest.raises(NotACocycle):
-                extension_from_cocycle(G3, K0, rep, CocyclePair(cone.leib, cone.op))
+                extension_from_cocycle(G3, K0, rep, cone)
             rejected += 1
         assert rejected == 20
 
@@ -279,7 +278,7 @@ def test_criterion_8_extensions():
         reg = regular_rep(G3, K0)
         kern_reg = kernel_basis(cone_differential(G3, K0, reg, 2))
         cone = vec_to_cone(kern_reg[3], 3, 3, 2)
-        ext = extension_from_cocycle(G3, K0, reg, CocyclePair(cone.leib, cone.op))
+        ext = extension_from_cocycle(G3, K0, reg, cone)
         s = section_from_proj(ext)
         _, base_pair = extract_cocycle(ext, s)
         for _ in range(5):
@@ -287,8 +286,8 @@ def test_criterion_8_extensions():
                 1, Matrix([[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)])
             )
             _, pair = extract_cocycle(ext, s + ext.incl @ gamma.values)
-            assert pair.psi == base_pair.psi + apply_delta(G3, reg, gamma)
-            assert pair.chi == base_pair.chi - apply_phi(G3, K0, reg, gamma)
+            assert pair.leib == base_pair.leib + apply_delta(G3, reg, gamma)
+            assert pair.op == base_pair.op - apply_phi(G3, K0, reg, gamma)
 
         checked = 0
         while checked < 10:
@@ -297,14 +296,13 @@ def test_criterion_8_extensions():
                 sum(c * v[i] for c, v in zip(coeffs, kern_reg))
                 for i in range(len(kern_reg[0]))
             ]
-            cone = vec_to_cone(vec, 3, 3, 2)
-            base_pair = CocyclePair(cone.leib, cone.op)
+            base_pair = vec_to_cone(vec, 3, 3, 2)
             gamma = Cochain(
                 1, Matrix([[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)])
             )
-            shifted = CocyclePair(
-                base_pair.psi + apply_delta(G3, reg, gamma),
-                base_pair.chi - apply_phi(G3, K0, reg, gamma),
+            shifted = ConeCochain(
+                base_pair.leib + apply_delta(G3, reg, gamma),
+                base_pair.op - apply_phi(G3, K0, reg, gamma),
             )
             e2 = extension_from_cocycle(G3, K0, reg, base_pair)
             e1 = extension_from_cocycle(G3, K0, reg, shifted)
@@ -335,7 +333,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         rep_doc = AlgebraDocument(G3, K0, reg)
         rep_path = tmp_path / "g3rep.json"
         rep_path.write_text(serialize_document(rep_doc))
-        pair = CocyclePair(zero_cochain(3, 3, 2), zero_cochain(3, 3, 1))
+        pair = zero_cone_cochain(3, 3, 2)
         coc_path = tmp_path / "cocycle.json"
         coc_path.write_text(json.dumps(cocycle_json(pair, rep_doc)))
 

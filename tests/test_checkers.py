@@ -27,7 +27,7 @@ from mrbleib.algebra import (
     mrb_defect,
     rb_defect,
 )
-from mrbleib.cohomology import Cochain, bracket_cochain, cochain_entries, zero_cochain
+from mrbleib.cohomology import Cochain, bracket_cochain, cochain_entries, zero_cone_cochain
 from mrbleib.deformation import (
     FormalIso,
     TruncatedDeformation,
@@ -37,7 +37,6 @@ from mrbleib.deformation import (
 )
 from mrbleib.errors import MrbError
 from mrbleib.extensions import (
-    CocyclePair,
     ExtensionData,
     _read_off,
     canonical_injection,
@@ -46,12 +45,12 @@ from mrbleib.extensions import (
     extract_cocycle,
     retraction_from,
     section_from_proj,
+    semidirect,
     validate_extension,
 )
 from mrbleib.linalg import Matrix, solve_right_inverse
 from mrbleib.representations import (
     Representation,
-    _direct_sum_entries,
     _induced,
     induced_rep,
     mrb_rep_defect,
@@ -181,15 +180,13 @@ def test_sparse_checkers_match_the_dense_oracle_on_fixtures(name, alg, ctx, rep)
     # a genuine extension: the semidirect product, read off at its canonical
     # section, gives back the module and the zero pair
     d, m = alg.dim, rep.dim_v
-    ext = extension_from_cocycle(
-        alg, ctx, rep, CocyclePair(zero_cochain(m, d, 2), zero_cochain(m, d, 1))
-    )
+    ext = extension_from_cocycle(alg, ctx, rep, zero_cone_cochain(m, d, 2))
     report = validate_extension(ext)
     assert report.is_empty and report == reference.validate_extension(ext)
     section = section_from_proj(ext)
     read = extract_cocycle(ext, section)
     assert read == reference.read_off(ext, section, retraction_from(ext, section))
-    assert read[0] == rep and read[1].psi.is_zero() and read[1].chi.is_zero()
+    assert read[0] == rep and read[1].leib.is_zero() and read[1].op.is_zero()
 
 
 @st.composite
@@ -205,7 +202,7 @@ def perturbed_extensions(draw):
     density = draw(st.floats(0, 0.5))
     psi = Cochain(2, sparse_matrix(draw, m, density, d * d))
     chi = sparse_matrix(draw, m, density, d)
-    entries = _direct_sum_entries(alg, rep)
+    entries = [(i, j, k, c) for (i, j, k), c in semidirect(alg, ctx, rep)[0].entries]
     entries += [(i, j, d + a, c) for (i, j), a, c in cochain_entries(psi, d)]
     op = Matrix.diag_blocks(ctx.operator, rep.k_v)
     op = op + Matrix.zeros(d, d).vstack(chi).hstack(Matrix.zeros(n, m))

@@ -26,8 +26,8 @@ from mrbleib.documents import (
     extension_json,
     serialize_document,
 )
-from mrbleib.extensions import CocyclePair, extension_from_cocycle
-from mrbleib.cohomology import zero_cochain, apply_delta, apply_phi, Cochain
+from mrbleib.extensions import extension_from_cocycle
+from mrbleib.cohomology import ConeCochain, apply_delta, apply_phi, Cochain, zero_cone_cochain
 from mrbleib.linalg import Matrix, kernel_basis
 from mrbleib.representations import Representation, regular_rep
 
@@ -172,8 +172,7 @@ def test_extend_build_extract_compare(tmp_path):
     doc = write(tmp_path, "base.json", serialize_document(base))
 
     kern = kernel_basis(cone_differential(G3, K0, rep, 2))
-    cone = vec_to_cone(kern[4], 3, 3, 2)
-    pair = CocyclePair(cone.leib, cone.op)
+    pair = vec_to_cone(kern[4], 3, 3, 2)
     cpath = write(tmp_path, "cocycle.json", json.dumps(cocycle_json(pair, base)))
 
     report, code = run_cli(tmp_path, "extend", "build", doc, "--cocycle", cpath)
@@ -190,9 +189,9 @@ def test_extend_build_extract_compare(tmp_path):
     assert got["chi"] == expected["chi"]
 
     gamma = Cochain(1, Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
-    shifted = CocyclePair(
-        pair.psi + apply_delta(G3, rep, gamma),
-        pair.chi - apply_phi(G3, K0, rep, gamma),
+    shifted = ConeCochain(
+        pair.leib + apply_delta(G3, rep, gamma),
+        pair.op - apply_phi(G3, K0, rep, gamma),
     )
     ext2 = extension_from_cocycle(G3, K0, rep, shifted)
     epath2 = write(tmp_path, "ext2.json", json.dumps(extension_json(ext2)))
@@ -212,7 +211,7 @@ def test_extend_build_rejects_non_cocycle(tmp_path):
     base = AlgebraDocument(G3, K0, rep)
     doc = write(tmp_path, "base.json", serialize_document(base))
     payload = cocycle_json(
-        CocyclePair(zero_cochain(3, 3, 2), zero_cochain(3, 3, 1)), base
+        zero_cone_cochain(3, 3, 2), base
     )
     payload["psi"] = [[1, 1, 1, "1"]]
     cpath = write(tmp_path, "cocycle.json", json.dumps(payload))
@@ -370,7 +369,7 @@ def test_extend_build_over_a_zero_dimensional_module(tmp_path, capsys):
     zero = Matrix.zeros(0, 0)
     base = AlgebraDocument(AFF, ROT, Representation(0, (zero, zero), (zero, zero), zero))
     doc = write(tmp_path, "base.json", serialize_document(base))
-    pair = CocyclePair(zero_cochain(0, 2, 2), zero_cochain(0, 2, 1))
+    pair = zero_cone_cochain(0, 2, 2)
     cpath = write(tmp_path, "cocycle.json", json.dumps(cocycle_json(pair, base)))
     assert main(["extend", "build", doc, "--cocycle", cpath]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
@@ -391,7 +390,7 @@ def test_extend_over_a_zero_dimensional_base(tmp_path, capsys):
     ctx = OperatorContext(zero, F(0))
     base = AlgebraDocument(empty, ctx, Representation(1, (), (), Matrix([[2]])))
     doc = write(tmp_path, "base.json", serialize_document(base))
-    pair = CocyclePair(zero_cochain(1, 0, 2), zero_cochain(1, 0, 1))
+    pair = zero_cone_cochain(1, 0, 2)
     cpath = write(tmp_path, "cocycle.json", json.dumps(cocycle_json(pair, base)))
     assert main(["extend", "build", doc, "--cocycle", cpath]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
@@ -421,7 +420,7 @@ def _wrongly_typed(tmp_path, where):
                 write(tmp_path, "def.json", json.dumps(payload))]
     base = AlgebraDocument(G3, K0, regular_rep(G3, K0))
     doc = write(tmp_path, "base.json", serialize_document(base))
-    payload = cocycle_json(CocyclePair(zero_cochain(3, 3, 2), zero_cochain(3, 3, 1)), base)
+    payload = cocycle_json(zero_cone_cochain(3, 3, 2), base)
     payload[where] = 5
     return ["extend", "build", doc, "--cocycle",
             write(tmp_path, "cocycle.json", json.dumps(payload))]
@@ -476,9 +475,9 @@ def test_compare_refuses_different_modules(tmp_path, capsys, other):
 
 def _g3_cohomologous_extensions(tmp_path):
     rep = regular_rep(G3, K0)
-    pair = CocyclePair(zero_cochain(3, 3, 2), zero_cochain(3, 3, 1))
+    pair = zero_cone_cochain(3, 3, 2)
     gamma = Cochain(1, Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
-    shifted = CocyclePair(apply_delta(G3, rep, gamma), -apply_phi(G3, K0, rep, gamma))
+    shifted = ConeCochain(apply_delta(G3, rep, gamma), -apply_phi(G3, K0, rep, gamma))
     return [
         write(tmp_path, f"ext{k}.json", json.dumps(extension_json(
             extension_from_cocycle(G3, K0, rep, p))))
@@ -520,7 +519,7 @@ def test_build_and_extract_classify_nothing(tmp_path, monkeypatch):
     base = AlgebraDocument(G3, K0, rep)
     doc = write(tmp_path, "base.json", serialize_document(base))
     cone = vec_to_cone(kernel_basis(cone_differential(G3, K0, rep, 2))[4], 3, 3, 2)
-    cocycle = json.dumps(cocycle_json(CocyclePair(cone.leib, cone.op), base))
+    cocycle = json.dumps(cocycle_json(cone, base))
     cpath = write(tmp_path, "cocycle.json", cocycle)
     counts = count_calls(monkeypatch, "cohomology.classify_cochain")
     report, code = run_cli(tmp_path, "extend", "build", doc, "--cocycle", cpath)
@@ -547,7 +546,7 @@ def test_extend_build_over_a_non_leibniz_base_fails(tmp_path, capsys):
     base = AlgebraDocument(LeibnizAlgebra(1, [(1, 1, 1, 1)]), OperatorContext(zero, F(0)),
                            Representation(1, (zero,), (zero,), zero))
     doc = write(tmp_path, "base.json", serialize_document(base))
-    pair = CocyclePair(zero_cochain(1, 1, 2), zero_cochain(1, 1, 1))
+    pair = zero_cone_cochain(1, 1, 2)
     cpath = write(tmp_path, "cocycle.json", json.dumps(cocycle_json(pair, base)))
     assert error_of(capsys, ["extend", "build", doc, "--cocycle", cpath]) == (1, "NotLeibniz")
 
@@ -584,11 +583,10 @@ def _extension_seeds():
     """A G3/K0 base with the module TRIV1, a nonzero cocycle over it, and two
     cohomologous extensions built from that cocycle."""
     base = AlgebraDocument(G3, K0, TRIV1)
-    cone = vec_to_cone(kernel_basis(cone_differential(G3, K0, TRIV1, 2))[0], 1, 3, 2)
-    pair = CocyclePair(cone.leib, cone.op)
+    pair = vec_to_cone(kernel_basis(cone_differential(G3, K0, TRIV1, 2))[0], 1, 3, 2)
     gamma = Cochain(1, Matrix([[1, 0, 1]]))
-    shifted = CocyclePair(pair.psi + apply_delta(G3, TRIV1, gamma),
-                          pair.chi - apply_phi(G3, K0, TRIV1, gamma))
+    shifted = ConeCochain(pair.leib + apply_delta(G3, TRIV1, gamma),
+                          pair.op - apply_phi(G3, K0, TRIV1, gamma))
     exts = [json.dumps(extension_json(extension_from_cocycle(G3, K0, TRIV1, p)))
             for p in (pair, shifted)]
     return serialize_document(base), json.dumps(cocycle_json(pair, base)), exts

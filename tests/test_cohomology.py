@@ -47,7 +47,6 @@ from mrbleib.cohomology import (
     delta_matrix,
     operator_cochain,
     operator_complex_pair,
-    partial_matrix,
     phi_matrix,
     phi_weight,
     vec_to_cochain,
@@ -92,7 +91,7 @@ def test_delta_of_identity_is_bracket():
 
 def test_partial0_on_g3():
     rep = regular_rep(G3, K0)
-    p0 = partial_matrix(G3, K0, rep, 0)
+    p0 = delta_matrix(*operator_complex_pair(G3, K0, rep), 0)
     assert p0.column(0) == (F(0), F(0), F(-1)) + (F(0),) * 6
     assert kernel_basis(p0) == [
         (F(0), F(1), F(0)),
@@ -107,8 +106,9 @@ def test_partial_vanishes_for_zero_operator_zero_module():
     zrep = Representation(
         2, (Matrix.zeros(2, 2),) * 3, (Matrix.zeros(2, 2),) * 3, Matrix.zeros(2, 2)
     )
+    derived, ind = operator_complex_pair(G3, zero_ctx, zrep)
     for n in range(3):
-        assert partial_matrix(G3, zero_ctx, zrep, n).is_zero()
+        assert delta_matrix(derived, ind, n).is_zero()
 
 
 def test_phi_weights():
@@ -166,9 +166,10 @@ def test_phi2_formula_at_weight_zero():
 
 def test_chain_map_low_degrees():
     for name, alg, ctx, rep in MRB_FIXTURES:
+        derived, ind = operator_complex_pair(alg, ctx, rep)
         for n in range(2):
             lhs = phi_matrix(alg, ctx, rep, n + 1) @ delta_matrix(alg, rep, n)
-            rhs = partial_matrix(alg, ctx, rep, n) @ phi_matrix(alg, ctx, rep, n)
+            rhs = delta_matrix(derived, ind, n) @ phi_matrix(alg, ctx, rep, n)
             assert lhs == rhs, (name, n)
 
 
@@ -341,9 +342,10 @@ def test_rotated_sl2_case_is_fractional_and_valid():
 
 @pytest.mark.parametrize("name, alg, ctx, rep", ASSEMBLY_CASES, ids=[c[0] for c in ASSEMBLY_CASES])
 def test_assembly_matches_basis_evaluation(name, alg, ctx, rep):
+    derived, ind = operator_complex_pair(alg, ctx, rep)
     for n in range(5 if alg.dim <= 2 else 4):
         assert delta_matrix(alg, rep, n) == reference.delta_matrix(alg, rep, n), n
-        assert partial_matrix(alg, ctx, rep, n) == reference.partial_matrix(alg, ctx, rep, n), n
+        assert delta_matrix(derived, ind, n) == reference.partial_matrix(alg, ctx, rep, n), n
         assert phi_matrix(alg, ctx, rep, n) == reference.phi_matrix(alg, ctx, rep, n), n
         cone = cone_differential(alg, ctx, rep, n)
         assert cone == reference.cone_differential(alg, ctx, rep, n), n
@@ -527,6 +529,14 @@ def test_cochain_entries_invert_cochain_from_entries():
             cochain_from_entries(2, 3, 1, [((1,), a, 1)])
 
 
+def test_cone_cochain_halves_share_the_fiber():
+    with pytest.raises(DimensionMismatch):
+        ConeCochain(zero_cochain(2, 3, 2), zero_cochain(3, 3, 1))
+    with pytest.raises(DimensionMismatch):
+        ConeCochain(zero_cochain(0, 3, 1), zero_cochain(1, 3, 0))
+    assert zero_cone_cochain(2, 3, 2).op.dim_v == 2
+
+
 def test_cochains_of_a_zero_dimensional_module_keep_their_columns():
     for degree in range(3):
         cols = 3 ** degree
@@ -540,9 +550,10 @@ AFF_ID = OperatorContext(Matrix.identity(2), F(-1))
 
 def test_chain_map_on_aff_with_the_identity():
     rep = regular_rep(AFF, AFF_ID)
+    derived, ind = operator_complex_pair(AFF, AFF_ID, rep)
     for n in range(4):
         lhs = phi_matrix(AFF, AFF_ID, rep, n + 1) @ delta_matrix(AFF, rep, n)
-        rhs = partial_matrix(AFF, AFF_ID, rep, n) @ phi_matrix(AFF, AFF_ID, rep, n)
+        rhs = delta_matrix(derived, ind, n) @ phi_matrix(AFF, AFF_ID, rep, n)
         assert lhs == rhs, n
 
 

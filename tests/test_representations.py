@@ -6,6 +6,7 @@ import pytest
 from fixtures import AFF, G3, K0, MRB_FIXTURES, TRIV1, Z1
 from mrbleib.algebra import LeibnizAlgebra, OperatorContext, leibniz_defect, mrb_defect
 from mrbleib.errors import NotRBRepresentation
+from mrbleib.extensions import semidirect
 from mrbleib.linalg import Matrix, rank
 from mrbleib.representations import (
     Representation,
@@ -15,7 +16,6 @@ from mrbleib.representations import (
     rb_rep_to_mrb_rep,
     regular_rep,
     rep_defect,
-    semidirect,
 )
 
 E31 = Matrix([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
@@ -211,6 +211,6 @@ def test_induced_and_semidirect_closure_on_random_modules():
             twisted = _conjugated(alg, ctx, rep, p)
             assert rep_defect(alg, twisted).is_empty
             assert mrb_rep_defect(alg, ctx, twisted).is_empty
-            # both constructions assert their own closure postconditions
+            # both constructions check their own closure post-conditions
             induced_rep(alg, ctx, twisted)
             semidirect(alg, ctx, twisted)
