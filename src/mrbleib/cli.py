@@ -5,6 +5,11 @@ reports are JSON on standard output with stable key order, diagnostics go
 to standard error.  Exit codes: 0 all requested checks pass, 1 a checked
 property failed, 2 input or usage error.  Reports contain no timestamps or
 environment data, so identical inputs produce byte-identical reports.
+
+Each subparser names its handler; a handler reads and parses its own inputs
+through ``documents`` (one reader, one JSON loader, one entry parser) and
+returns (digest text, sections, result).  ``execute`` dispatches once and
+builds every report the same way.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from .documents import (
     parse_deformation,
     parse_document,
     parse_extension,
+    parse_mask,
+    read_text,
     representation_json,
 )
 from .errors import (
@@ -56,7 +63,6 @@ from .errors import (
     NotAnExtension,
     NotMRBRepresentation,
     ParseError,
-    UnknownCommand,
 )
 from .extensions import (
     extension_from_cocycle,
@@ -73,11 +79,7 @@ from .representations import (
     rep_defect,
 )
 
-USAGE_ERRORS = (ParseError, BudgetExceeded, InvalidArgument, UnknownCommand)
-
-
-def _digest_text(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+USAGE_ERRORS = (ParseError, BudgetExceeded, InvalidArgument)
 
 
 def _residuals_json(report: DefectReport):
@@ -107,7 +109,14 @@ def _table_json(table):
     }
 
 
-def cmd_check(doc: AlgebraDocument):
+def _document(path: str) -> tuple[str, AlgebraDocument]:
+    """The text at ``path`` and the algebra document it holds."""
+    text = read_text(path)
+    return text, parse_document(text)
+
+
+def cmd_check(args):
+    text, doc = _document(args.document)
     sections = [_section("leibniz", leibniz_defect(doc.algebra))]
     rep = doc.effective_representation()
     if doc.operator is not None:
@@ -118,7 +127,7 @@ def cmd_check(doc: AlgebraDocument):
         sections.append(
             _section("mrb-representation", mrb_rep_defect(doc.algebra, doc.operator, rep))
         )
-    return sections, None
+    return text, sections, None
 
 
 def _checked_module(doc: AlgebraDocument):
@@ -130,12 +139,13 @@ def _checked_module(doc: AlgebraDocument):
     return rep
 
 
-def cmd_cohomology(doc: AlgebraDocument, max_degree: int, budget: int):
+def cmd_cohomology(args):
+    text, doc = _document(args.document)
     rep = _checked_module(doc)
     if rep is None:
         rep = regular_rep(doc.algebra)
     report = cohomology_dimensions(
-        doc.algebra, rep, doc.operator, max_degree=max_degree, budget=budget
+        doc.algebra, rep, doc.operator, max_degree=args.max_degree, budget=args.budget
     )
     result = {
         "maxDegree": report.max_degree,
@@ -145,110 +155,81 @@ def cmd_cohomology(doc: AlgebraDocument, max_degree: int, budget: int):
     if report.operator is not None:
         result["operator"] = _table_json(report.operator)
         result["cone"] = _table_json(report.cone)
-    return [], result
+    return text, [], result
 
 
-def cmd_derived(doc: AlgebraDocument):
+def cmd_derived(args):
+    text, doc = _document(args.document)
     if doc.operator is None:
         raise ParseError("derived requires a document with an operator")
     rep = _checked_module(doc)
     derived = derived_algebra(doc.algebra, doc.operator)
     induced = induced_rep(doc.algebra, doc.operator, rep)
     out = AlgebraDocument(derived, doc.operator, induced)
-    return [], document_json(out)
+    return text, [], document_json(out)
 
 
-def _parse_mask(text: str, dim: int) -> dict:
-    """``{"entries": [[i, j, "value"], ...]}`` as a map (i, j) -> value,
-    with 1 <= i, j <= dim and each (i, j) at most once."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"mask is not JSON: {exc}") from None
-    entries = data.get("entries", []) if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        raise ParseError("mask must be an object with an \"entries\" list")
-    mask = {}
-    for item in entries:
-        if not (
-            isinstance(item, list)
-            and len(item) == 3
-            and all(type(t) is int for t in item[:2])
-            and isinstance(item[2], str)
-        ):
-            raise ParseError(f"mask entry {item!r} is not [i, j, \"value\"]")
-        i, j, c = item
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise ParseError(f"mask entry {item!r} is outside the dimension {dim}")
-        if (i, j) in mask:
-            raise ParseError(f"mask entry {(i, j)} is given twice")
-        mask[(i, j)] = parse_rational(c)
-    return mask
-
-
-def cmd_search(doc: AlgebraDocument, weight: str, grid: str, mask_text: str | None, budget: int):
-    w = parse_rational(weight)
-    grid_vals = [parse_rational(g) for g in grid.split(",") if g.strip()]
+def cmd_search(args):
+    text, doc = _document(args.document)
+    w = parse_rational(args.weight)
+    grid_vals = [parse_rational(g) for g in args.grid.split(",") if g.strip()]
     if not grid_vals:
         raise ParseError("empty grid")
     if len(set(grid_vals)) != len(grid_vals):
-        raise ParseError(f"grid {grid!r} repeats a value")
-    mask = None if mask_text is None else _parse_mask(mask_text, doc.algebra.dim)
-    solutions = grid_search_operators(doc.algebra, w, grid_vals, mask, budget)
+        raise ParseError(f"grid {args.grid!r} repeats a value")
+    mask = None if args.mask is None else parse_mask(read_text(args.mask), doc.algebra.dim)
+    solutions = grid_search_operators(doc.algebra, w, grid_vals, mask, args.budget)
     result = {
         "weight": format_rational(w),
         "grid": [format_rational(g) for g in grid_vals],
         "count": len(solutions),
         "solutions": [_matrix_json(m) for m in solutions],
     }
-    return [], result
+    return text, [], result
 
 
-def cmd_deform(doc: AlgebraDocument, sub: str, deformation_text: str):
-    dfm = parse_deformation(deformation_text, doc)
-    if sub == "verify":
+def cmd_deform(args):
+    text, doc = _document(args.document)
+    dfm = parse_deformation(read_text(args.deformation), doc)
+    if args.subcommand == "verify":
         reports = deformation_residuals(dfm)
-        sections = [_section(f"order-{n}", r) for n, r in enumerate(reports)]
-        return sections, None
-    if sub not in ("infinitesimal", "gauge"):
-        raise UnknownCommand(f"deform {sub}")
+        return text, [_section(f"order-{n}", r) for n, r in enumerate(reports)], None
     cone = infinitesimal(dfm)
     cls = classify_cochain(dfm.algebra, dfm.ctx, regular_rep(dfm.algebra, dfm.ctx), cone)
-    if sub == "infinitesimal":
+    if args.subcommand == "infinitesimal":
         result = {
             "mu1": _cochain_json(cone.leib, dfm.algebra.dim),
             "k1": _matrix_json(cone.op.values),
             "cocycle": cls.cocycle,
             "coboundary": cls.coboundary,
         }
-        return [], result
+        return text, [], result
     if not cls.coboundary:
         reason = "infinitesimal is not a coboundary"
-        return [{"name": "gauge", "status": "fail", "residuals": [], "reason": reason}], None
-    return [], deformation_json(gauge_step(dfm, cls.witness))
+        return text, [{"name": "gauge", "status": "fail", "residuals": [], "reason": reason}], None
+    return text, [], deformation_json(gauge_step(dfm, cls.witness))
 
 
-def cmd_extend_build(doc: AlgebraDocument, cocycle_text: str):
+def cmd_extend_build(args):
+    text, doc = _document(args.document)
     rep = doc.effective_representation()
     if doc.operator is None or rep is None:
         raise ParseError("extend build needs a document with operator (and representation)")
-    cocycle = parse_cocycle(cocycle_text, doc)
+    cocycle = parse_cocycle(read_text(args.cocycle), doc)
     try:
         ext = extension_from_cocycle(doc.algebra, doc.operator, rep, cocycle)
     except NotACocycle as exc:
-        return [_section("cocycle", exc.report)], None
-    sections = [
-        {"name": "cocycle", "status": "pass", "residuals": []},
-    ]
-    return sections, extension_json(ext)
+        return text, [_section("cocycle", exc.report)], None
+    return text, [{"name": "cocycle", "status": "pass", "residuals": []}], extension_json(ext)
 
 
-def cmd_extend_extract(ext_text: str):
-    ext = parse_extension(ext_text)
+def cmd_extend_extract(args):
+    text = read_text(args.extension)
+    ext = parse_extension(text)
     report = validate_extension(ext)
     sections = [_section("validation", report)]
     if not report.is_empty:
-        return sections, None
+        return text, sections, None
     section = section_from_proj(ext)
     rep, cocycle = extract_cocycle(ext, section)
     base_doc = AlgebraDocument(ext.base, ext.base_op, None)
@@ -257,10 +238,11 @@ def cmd_extend_extract(ext_text: str):
         "cocycle": cocycle_json(cocycle, base_doc),
         "section": _matrix_json(section),
     }
-    return sections, result
+    return text, sections, result
 
 
-def cmd_extend_compare(text1: str, text2: str):
+def cmd_extend_compare(args):
+    text1, text2 = read_text(args.extension), read_text(args.extension2)
     e1 = parse_extension(text1)
     e2 = parse_extension(text2)
     if (e1.base, e1.base_op, e1.fiber_op) != (e2.base, e2.base_op, e2.fiber_op):
@@ -273,7 +255,7 @@ def cmd_extend_compare(text1: str, text2: str):
     witness = cone_preimage(e1.base, e1.base_op, rep1, diff)
     if witness is None:
         sections = [{"name": "cohomologous", "status": "fail", "residuals": []}]
-        return sections, {"cohomologous": False}
+        return text1 + text2, sections, {"cohomologous": False}
     # the cocycle difference is (delta gamma, -phi gamma) on the nose
     gamma = fold_witness(e1.base, rep1, witness)
     result = {"cohomologous": True, "gamma": _matrix_json(gamma.values)}
@@ -283,17 +265,7 @@ def cmd_extend_compare(text1: str, text2: str):
         # not direct-sum models; the class comparison still stands
         pass
     sections = [{"name": "cohomologous", "status": "pass", "residuals": []}]
-    return sections, result
-
-
-def _read(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+    return text1 + text2, sections, result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,14 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run all applicable axiom checks")
     p.add_argument("document", nargs="?", default="-")
+    p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("cohomology", help="cohomology dimension tables")
     p.add_argument("document", nargs="?", default="-")
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--budget", type=int, default=10 ** 7)
+    p.set_defaults(handler=cmd_cohomology)
 
     p = sub.add_parser("derived", help="derived algebra and induced representation")
     p.add_argument("document", nargs="?", default="-")
+    p.set_defaults(handler=cmd_derived)
 
     p = sub.add_parser("search", help="grid search for modified Rota-Baxter operators")
     p.add_argument("document", nargs="?", default="-")
@@ -321,66 +296,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True)
     p.add_argument("--mask", default=None)
     p.add_argument("--budget", type=int, default=10 ** 7)
+    p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("deform", help="truncated formal deformations")
     p.add_argument("subcommand", choices=["verify", "infinitesimal", "gauge"])
     p.add_argument("document", nargs="?", default="-")
     p.add_argument("--deformation", required=True)
+    p.set_defaults(handler=cmd_deform)
 
     p = sub.add_parser("extend", help="abelian extensions")
     ext_sub = p.add_subparsers(dest="subcommand", required=True)
     b = ext_sub.add_parser("build", help="build an extension from a cocycle")
     b.add_argument("document", nargs="?", default="-")
     b.add_argument("--cocycle", required=True)
+    b.set_defaults(handler=cmd_extend_build)
     e = ext_sub.add_parser("extract", help="extract module and cocycle")
     e.add_argument("extension")
+    e.set_defaults(handler=cmd_extend_extract)
     c = ext_sub.add_parser("compare", help="decide whether two extensions are cohomologous")
     c.add_argument("extension")
     c.add_argument("extension2")
+    c.set_defaults(handler=cmd_extend_compare)
     return parser
 
 
 def execute(args) -> tuple[dict, int]:
     """Run one command; returns (report, exit_code)."""
-    command = args.command
-    if command == "extend":
-        command = f"extend {args.subcommand}"
-    elif command == "deform":
-        command = f"deform {args.subcommand}"
-
-    if args.command == "extend" and args.subcommand == "extract":
-        text = _read(args.extension)
-        sections, result = cmd_extend_extract(text)
-        digest = _digest_text(text)
-    elif args.command == "extend" and args.subcommand == "compare":
-        text1 = _read(args.extension)
-        text2 = _read(args.extension2)
-        sections, result = cmd_extend_compare(text1, text2)
-        digest = _digest_text(text1 + text2)
-    else:
-        text = _read(args.document)
-        digest = _digest_text(text)
-        doc = parse_document(text)
-        if args.command == "check":
-            sections, result = cmd_check(doc)
-        elif args.command == "cohomology":
-            sections, result = cmd_cohomology(doc, args.max_degree, args.budget)
-        elif args.command == "derived":
-            sections, result = cmd_derived(doc)
-        elif args.command == "search":
-            mask_text = _read(args.mask) if args.mask else None
-            sections, result = cmd_search(doc, args.weight, args.grid, mask_text, args.budget)
-        elif args.command == "deform":
-            sections, result = cmd_deform(doc, args.subcommand, _read(args.deformation))
-        elif args.command == "extend" and args.subcommand == "build":
-            sections, result = cmd_extend_build(doc, _read(args.cocycle))
-        else:
-            raise UnknownCommand(args.command)
-
+    text, sections, result = args.handler(args)
     passed = all(s["status"] == "pass" for s in sections)
     report = {
-        "command": command,
-        "inputDigest": digest,
+        "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
+        "inputDigest": "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "sections": sections,
         "status": "pass" if passed else "fail",
     }

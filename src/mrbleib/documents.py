@@ -1,17 +1,34 @@
-"""The JSON document format shared by the command line tools.
+"""The JSON input layer: every file or standard input the command line
+reads, and the canonical JSON it writes.
 
 All rationals travel as strings "p/q" (or "p") so the format stays
 precision-lossless and language-neutral.  One document describes an
 algebra, optionally an operator with its weight, and optionally a
 representation; deformation, cocycle and extension files are supplementary
-documents that reference a base document by content digest so a mismatched
-base cannot slip through silently.
+documents, and the deformation and cocycle files reference a base document
+by content digest so a mismatched base cannot slip through silently.
+
+Every input passes ``read_text`` (a file or standard input, strictly
+UTF-8), ``_load_json``, one key check per object, and ``_parse_entries`` for
+each sparse list of entries ``[i_1, .., i_k, "value"]``, each index within
+its bound and each index tuple at most once: ``bracket`` and ``mu`` hold
+[i, j, k, c], ``psi`` [i, j, a, c], ``chi`` [i, a, c] (a over the module)
+and the search mask [i, j, c].  The keys each object accepts: document
+field/algebra/operator/representation; algebra dim/bracket; operator
+weight/matrix; representation dimV/rhoL/rhoR/kV; deformation
+field/baseDigest/order/mu/kk; cocycle field/baseDigest/psi/chi; extension
+field/base/total/incl/proj/fiberOp (base and total are documents); mask
+entries, which it requires.  Unreadable or non-UTF-8 input, malformed or
+too deeply nested JSON, an unknown key, a wrong type, an index out of
+range, a repeated index tuple and a mismatched baseDigest raise
+``ParseError``, which the command line answers with exit code 2.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 from .algebra import LeibnizAlgebra, OperatorContext
@@ -54,16 +71,82 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0
 
 
-def _is_index(x, bound: int) -> bool:
-    """A JSON integer in 1..bound; ``true`` is not the index 1."""
-    return type(x) is int and 1 <= x <= bound
+def read_text(path: str | None) -> str:
+    """The text of the file at ``path``, or of standard input for None or
+    "-"; either must be UTF-8."""
+    try:
+        if path is not None and path != "-":
+            with open(path, "r", encoding="utf-8") as fh:
+                return fh.read()
+        if sys.stdin is None:
+            raise OSError("standard input is closed")
+        return sys.stdin.buffer.read().decode("utf-8")
+    except (OSError, UnicodeError) as exc:
+        name = "standard input" if path in (None, "-") else path
+        raise ParseError(f"cannot read {name}: {exc}") from None
 
 
-def _load_json(text: str):
+def _load_json(text: str, what: str):
+    """Decode JSON text; malformed JSON, an integer past the interpreter's
+    digit limit and nesting past its recursion limit are ParseErrors."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or too many digits
+        raise ParseError(f"{what} is not JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{what} is nested too deeply") from None
+
+
+def _object(data, keys: set, what: str):
+    """``data`` itself, once it is a JSON object with no key outside ``keys``."""
+    _require(isinstance(data, dict), f"{what} must be an object")
+    for key in data:
+        _require(key in keys, f"{what}: unknown key {key!r}")
+    return data
+
+
+def _header(data, keys: set, what: str, base: AlgebraDocument | None = None):
+    """A document or supplement object: its keys, its field and, against
+    ``base``, its baseDigest."""
+    _object(data, keys, what)
+    _require(data.get("field") == "rational", f'{what}: field must be "rational"')
+    if base is not None:
+        expected = document_digest(base)
+        _require(
+            data.get("baseDigest") == expected,
+            f"{what}: baseDigest does not match the base document ({expected})",
+        )
+    return data
+
+
+def _parse_entries(items, bounds: tuple, what: str) -> dict:
+    """A sparse list of entries ``[i_1, .., i_k, "value"]``, k = len(bounds),
+    with 1 <= i_t <= bounds[t] and each index tuple at most once, as a map
+    (i_1, .., i_k) -> value in list order."""
+    _require(isinstance(items, list), f"{what}: expected a list of entries")
+    k = len(bounds)
+    shape = f'{what}: each entry is {k} indices and a "value" string'
+    out = {}
+    for item in items:
+        # types first: an entry is echoed in a message only once it is flat
+        _require(isinstance(item, list) and len(item) == k + 1 and isinstance(item[k], str)
+                 and all(type(idx) is int for idx in item[:k]), shape)
+        key = tuple(item[:k])
+        for idx, bound in zip(key, bounds):
+            if not 1 <= idx <= bound:
+                raise IndexOutOfRange(f"{what} entry {item!r}: index {idx} outside 1..{bound}")
+        if key in out:
+            raise DuplicateKey(f"{what}: duplicate key {key}")
+        out[key] = parse_rational(item[k])
+    return out
+
+
+def _parse_cochain(items, dim_v: int, alg_dim: int, degree: int, what: str) -> Cochain:
+    """A cochain from its entries [i_1, .., i_n, a, "value"]."""
+    entries = _parse_entries(items, (alg_dim,) * degree + (dim_v,), what)
+    return cochain_from_entries(
+        dim_v, alg_dim, degree, ((key[:-1], key[-1], c) for key, c in entries.items())
+    )
 
 
 def _parse_matrix(obj, rows: int, cols: int, what: str) -> Matrix:
@@ -84,66 +167,50 @@ def _cochain_json(c: Cochain, alg_dim: int):
     return [[*indices, a, format_rational(v)] for indices, a, v in cochain_entries(c, alg_dim)]
 
 
-def _parse_bracket(entries, dim: int, what: str = "bracket"):
-    _require(isinstance(entries, list), f"{what}: expected a list")
-    seen = set()
-    out = []
-    for item in entries:
-        _require(
-            isinstance(item, list) and len(item) == 4,
-            f"{what}: entries must be [i, j, k, coefficient]",
-        )
-        i, j, k, c = item
-        for idx in (i, j, k):
-            if not _is_index(idx, dim):
-                raise IndexOutOfRange(f"{what}: index {idx} outside 1..{dim}")
-        if (i, j, k) in seen:
-            raise DuplicateKey(f"{what}: duplicate key {(i, j, k)}")
-        seen.add((i, j, k))
-        out.append((i, j, k, parse_rational(c)))
-    return out
-
-
-def parse_document(text: str) -> AlgebraDocument:
-    """Parse and structurally validate an algebra document."""
-    data = _load_json(text)
-    _require(isinstance(data, dict), "document must be an object")
-    _require(data.get("field") == "rational", 'field must be "rational"')
-    alg_obj = data.get("algebra")
-    _require(isinstance(alg_obj, dict), "missing algebra object")
+def _document_from(data, what: str) -> AlgebraDocument:
+    """Validate a loaded document object and build its document."""
+    _header(data, {"field", "algebra", "operator", "representation"}, what)
+    alg_obj = _object(data.get("algebra"), {"dim", "bracket"}, "algebra")
     dim = alg_obj.get("dim")
     _require(_is_count(dim), "algebra.dim must be a count")
     # the algebra keeps a dense table of dim**3 bracket cells
     _require(dim ** 3 <= 10 ** 7, f"algebra.dim {dim} is too large: over 10**7 bracket cells")
-    bracket = _parse_bracket(alg_obj.get("bracket", []), dim)
-    algebra = LeibnizAlgebra(dim, bracket)
+    bracket = _parse_entries(alg_obj.get("bracket", []), (dim, dim, dim), "bracket")
+    algebra = LeibnizAlgebra(dim, [(*key, c) for key, c in bracket.items()])
     operator = None
     if "operator" in data:
-        op_obj = data["operator"]
-        _require(isinstance(op_obj, dict), "operator must be an object")
+        op_obj = _object(data["operator"], {"weight", "matrix"}, "operator")
         weight = parse_rational(op_obj.get("weight", "0"))
         matrix = _parse_matrix(op_obj.get("matrix"), dim, dim, "operator.matrix")
         operator = OperatorContext(matrix, weight)
     representation = None
     if "representation" in data:
-        rep_obj = data["representation"]
-        _require(isinstance(rep_obj, dict), "representation must be an object")
+        rep_obj = _object(data["representation"], {"dimV", "rhoL", "rhoR", "kV"},
+                          "representation")
         dim_v = rep_obj.get("dimV")
         _require(_is_count(dim_v), "representation.dimV must be a count")
+        actions = []
         for key in ("rhoL", "rhoR"):
-            _require(
-                isinstance(rep_obj.get(key), list) and len(rep_obj[key]) == dim,
-                f"representation.{key} must list one matrix per basis vector",
-            )
-        rho_l = tuple(
-            _parse_matrix(m, dim_v, dim_v, "representation.rhoL") for m in rep_obj["rhoL"]
-        )
-        rho_r = tuple(
-            _parse_matrix(m, dim_v, dim_v, "representation.rhoR") for m in rep_obj["rhoR"]
-        )
+            mats, name = rep_obj.get(key), f"representation.{key}"
+            _require(isinstance(mats, list) and len(mats) == dim,
+                     f"{name} must list one matrix per basis vector")
+            actions.append(tuple(_parse_matrix(m, dim_v, dim_v, name) for m in mats))
         k_v = _parse_matrix(rep_obj.get("kV"), dim_v, dim_v, "representation.kV")
-        representation = Representation(dim_v, rho_l, rho_r, k_v)
+        representation = Representation(dim_v, *actions, k_v)
     return AlgebraDocument(algebra, operator, representation)
+
+
+def parse_document(text: str) -> AlgebraDocument:
+    """Parse and structurally validate an algebra document."""
+    return _document_from(_load_json(text, "document"), "document")
+
+
+def parse_mask(text: str, dim: int) -> dict:
+    """A search mask ``{"entries": [[i, j, "value"], ..]}`` as a map
+    (i, j) -> value, with 1 <= i, j <= dim."""
+    data = _object(_load_json(text, "mask"), {"entries"}, "mask")
+    _require("entries" in data, 'mask: missing "entries"')
+    return _parse_entries(data["entries"], (dim, dim), "mask")
 
 
 def document_json(doc: AlgebraDocument):
@@ -186,26 +253,15 @@ def document_digest(doc: AlgebraDocument) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
-def _check_digest(data, base_doc: AlgebraDocument, what: str):
-    digest = data.get("baseDigest")
-    expected = document_digest(base_doc)
-    _require(
-        digest == expected,
-        f"{what}: baseDigest {digest!r} does not match the base document ({expected})",
-    )
-
-
 def parse_deformation(text: str, base: AlgebraDocument) -> TruncatedDeformation:
     """Parse a deformation file against its base document.
 
     Format: {"field", "baseDigest", "order": N, "mu": [bracket-entry lists,
     one per order 1..N], "kk": [d x d matrices, one per order 1..N]}.
     """
-    data = _load_json(text)
-    _require(isinstance(data, dict), "deformation file must be an object")
-    _require(data.get("field") == "rational", 'field must be "rational"')
+    data = _header(_load_json(text, "deformation file"),
+                   {"field", "baseDigest", "order", "mu", "kk"}, "deformation file", base)
     _require(base.operator is not None, "deformation base document needs an operator")
-    _check_digest(data, base, "deformation")
     order = data.get("order")
     _require(_is_count(order), "order must be a count")
     mu_blocks = data.get("mu", [])
@@ -220,12 +276,9 @@ def parse_deformation(text: str, base: AlgebraDocument) -> TruncatedDeformation:
     )
     d = base.algebra.dim
     mu = [bracket_cochain(base.algebra)]
-    for block in mu_blocks:
-        entries = _parse_bracket(block, d, "mu")
-        mu.append(cochain_from_entries(d, d, 2, (((i, j), k, c) for i, j, k, c in entries)))
+    mu.extend(_parse_cochain(block, d, d, 2, "mu") for block in mu_blocks)
     kk = [base.operator.operator]
-    for block in kk_blocks:
-        kk.append(_parse_matrix(block, d, d, "kk"))
+    kk.extend(_parse_matrix(block, d, d, "kk") for block in kk_blocks)
     return TruncatedDeformation(base.algebra, base.operator, tuple(mu), tuple(kk))
 
 
@@ -243,33 +296,13 @@ def deformation_json(dfm: TruncatedDeformation):
 def parse_cocycle(text: str, base: AlgebraDocument) -> ConeCochain:
     """Parse a cocycle file into a degree-2 cone cochain: psi [i, j, a, c],
     chi [i, a, c], with a indexing the fiber of the base document's module."""
-    data = _load_json(text)
-    _require(isinstance(data, dict), "cocycle file must be an object")
-    _require(data.get("field") == "rational", 'field must be "rational"')
-    _check_digest(data, base, "cocycle")
+    data = _header(_load_json(text, "cocycle file"),
+                   {"field", "baseDigest", "psi", "chi"}, "cocycle file", base)
     rep = base.effective_representation()
     _require(rep is not None, "cocycle base document needs a representation or operator")
     d, m = base.algebra.dim, rep.dim_v
-    halves = []
-    for key, degree, shape in (("psi", 2, "[i, j, a, c]"), ("chi", 1, "[i, a, c]")):
-        items = data.get(key, [])
-        _require(isinstance(items, list), f"{key} must be a list")
-        entries = []
-        seen = set()
-        for item in items:
-            _require(
-                isinstance(item, list) and len(item) == degree + 2, f"{key} entries are {shape}"
-            )
-            *indices, a, c = item
-            for idx, bound in (*((i, d) for i in indices), (a, m)):
-                if not _is_index(idx, bound):
-                    raise IndexOutOfRange(f"{key} index {idx} outside 1..{bound}")
-            if (*indices, a) in seen:
-                raise DuplicateKey(f"{key} duplicate key {(*indices, a)}")
-            seen.add((*indices, a))
-            entries.append((indices, a, parse_rational(c)))
-        halves.append(cochain_from_entries(m, d, degree, entries))
-    return ConeCochain(*halves)
+    return ConeCochain(_parse_cochain(data.get("psi", []), m, d, 2, "psi"),
+                       _parse_cochain(data.get("chi", []), m, d, 1, "chi"))
 
 
 def cocycle_json(c: ConeCochain, base: AlgebraDocument):
@@ -285,11 +318,10 @@ def cocycle_json(c: ConeCochain, base: AlgebraDocument):
 def parse_extension(text: str) -> ExtensionData:
     """Parse an extension document bundling base and total algebra documents
     plus the inclusion, projection and fiber operator matrices."""
-    data = _load_json(text)
-    _require(isinstance(data, dict), "extension file must be an object")
-    _require(data.get("field") == "rational", 'field must be "rational"')
-    base_doc = parse_document(json.dumps(data.get("base")))
-    total_doc = parse_document(json.dumps(data.get("total")))
+    data = _header(_load_json(text, "extension file"),
+                   {"field", "base", "total", "incl", "proj", "fiberOp"}, "extension file")
+    base_doc = _document_from(data.get("base"), "extension base")
+    total_doc = _document_from(data.get("total"), "extension total")
     _require(base_doc.operator is not None, "extension base needs an operator")
     _require(total_doc.operator is not None, "extension total needs an operator")
     d = base_doc.algebra.dim

@@ -87,7 +87,3 @@ class IndexOutOfRange(ParseError):
 
 class DuplicateKey(ParseError):
     """A structure-constant key appears twice in a document."""
-
-
-class UnknownCommand(MrbError):
-    """The CLI was invoked with an unrecognized command."""

@@ -48,7 +48,7 @@ def parse_rational(text: str) -> Fraction:
     ParseError too.
     """
     if not isinstance(text, str):
-        raise ParseError(f"bad rational {text!r}: expected a string")
+        raise ParseError(f"bad rational: expected a string, not {type(text).__name__}")
     s = text.strip().replace("−", "-")
     if not _RATIONAL.fullmatch(s):
         raise ParseError(f"bad rational {text!r}")

@@ -23,11 +23,14 @@ from mrbleib.documents import (
     AlgebraDocument,
     cocycle_json,
     deformation_json,
+    document_digest,
     extension_json,
+    parse_document,
     serialize_document,
 )
 from mrbleib.extensions import extension_from_cocycle
 from mrbleib.cohomology import ConeCochain, apply_delta, apply_phi, Cochain, zero_cone_cochain
+from mrbleib.errors import MrbError
 from mrbleib.linalg import Matrix, kernel_basis
 from mrbleib.representations import Representation, regular_rep
 
@@ -293,9 +296,8 @@ def test_missing_or_unreadable_input_is_usage_error(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe")
     assert main(["check", str(binary)]) == 2
     doc = write(tmp_path, "g3.json", G3_DOC)
-    code = main(["search", doc, "--weight", "1", "--grid", "0,1",
-                 "--mask", str(tmp_path / "absent-mask.json")])
-    assert code == 2
+    for mask in (str(tmp_path / "absent-mask.json"), ""):
+        assert main(["search", doc, "--weight", "1", "--grid", "0,1", "--mask", mask]) == 2
 
 
 def error_of(capsys, argv):
@@ -551,6 +553,32 @@ def test_extend_build_over_a_non_leibniz_base_fails(tmp_path, capsys):
     assert error_of(capsys, ["extend", "build", doc, "--cocycle", cpath]) == (1, "NotLeibniz")
 
 
+CLI = [sys.executable, "-c", "import sys; from mrbleib.cli import main; sys.exit(main())"]
+
+
+def cli_env(**changes):
+    """The environment for a CLI subprocess that imports this mrbleib."""
+    src = str(Path(mrbleib.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(changes)
+    return {k: v for k, v in env.items() if v is not None}
+
+
+@pytest.mark.parametrize("stdin,locale", [
+    (b"\xff{", {"LANG": None, "LC_ALL": None, "LC_CTYPE": None}),
+    (b"\xff{", {"LC_ALL": "C.UTF-8"}),
+    (None, {}),
+], ids=["non-utf8-no-locale", "non-utf8-C.UTF-8", "closed"])
+def test_unreadable_standard_input_is_usage_error(stdin, locale):
+    # None: the shell closes standard input, so sys.stdin is None
+    argv = [*CLI, "check"] if stdin else ["sh", "-c", 'exec "$@" <&-', "sh", *CLI, "check"]
+    proc = subprocess.run(argv, input=stdin, capture_output=True, env=cli_env(**locale),
+                          timeout=60)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"mrbleib:") and b"Traceback" not in proc.stderr
+
+
 def test_a_closed_stdout_ends_quietly(tmp_path):
     # [e_i, e_j] = e_1 fails the Leibniz identity at all 512 triples: the
     # report (about 150 KB) is more than a pipe holds, so the writer meets
@@ -558,13 +586,8 @@ def test_a_closed_stdout_ends_quietly(tmp_path):
     bracket = [[i, j, 1, "1"] for i in range(1, 9) for j in range(1, 9)]
     doc = write(tmp_path, "big.json", json.dumps(
         {"field": "rational", "algebra": {"dim": 8, "bracket": bracket}}))
-    src = str(Path(mrbleib.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     with subprocess.Popen(
-        [sys.executable, "-c", "import sys; from mrbleib.cli import main; sys.exit(main())",
-         "check", doc],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        [*CLI, "check", doc], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
     ) as proc:
         assert proc.stdout.read(1) == b"{"
         proc.stdout.close()
@@ -593,6 +616,7 @@ def _extension_seeds():
 
 
 G3_TRIV_DOC, G3_COCYCLE, G3_EXTS = _extension_seeds()
+DEEP = "[" * 200000
 DEFORMATION = _deformation_seed()
 SEEDS = [G3_DOC, AFF_DOC, NOT_LEIBNIZ, DIM0, G3_TRIV_DOC]
 EXTENSIONS = G3_EXTS + [ABELIAN_EXT, ACTING_EXT]
@@ -659,13 +683,29 @@ def mutate(draw, text):
     return json.dumps(doc)
 
 
+def restamp(base, supplement):
+    """The supplement with the baseDigest of base, when base parses."""
+    try:
+        digest = document_digest(parse_document(base))
+    except MrbError:
+        return supplement
+    payload = json.loads(supplement)
+    if "baseDigest" not in payload:
+        return supplement
+    payload["baseDigest"] = digest
+    return json.dumps(payload)
+
+
 @st.composite
 def mutated_requests(draw):
-    """A command with seed inputs, one of them mutated."""
+    """A command with seed inputs, one of them mutated; a mutated base
+    document re-stamps the baseDigest of its supplements."""
     argv, seeds = draw(st.sampled_from(COMMANDS))
     texts = list(draw(st.sampled_from(seeds)))
     k = draw(st.integers(0, len(texts) - 1))
     texts[k] = mutate(draw, texts[k])
+    if k == 0:
+        texts[1:] = [restamp(texts[0], t) for t in texts[1:]]
     return argv, tuple(texts)
 
 
@@ -675,6 +715,9 @@ def mutated_requests(draw):
 @example((("check", "@0"), (HUGE,)))
 @example((("extend", "compare", "@0", "@1"), (ABELIAN_EXT, ACTING_EXT)))
 @example((("extend", "compare", "@0", "@1"), (ABELIAN_EXT, SWAPPED_EXT)))
+@example((("check", "@0"), (DEEP,)))
+@example((("deform", "verify", "@0", "--deformation", "@1"), (AFF_DOC, DEEP)))
+@example((("check", "@0"), ("\udcff{",)))
 def test_no_document_escapes_main(request):
     argv, texts = request
     # reports and diagnostics are dropped
@@ -685,6 +728,107 @@ def test_no_document_escapes_main(request):
             with open(names[k], "w", encoding="utf-8") as fh:
                 fh.write(text)
         argv = [names[int(a[1:])] if a.startswith("@") else a for a in argv]
-        with mock.patch.object(sys, "stdin", io.StringIO(texts[0])), \
+        stdin = io.TextIOWrapper(io.BytesIO(texts[0].encode("utf-8", "surrogatepass")))
+        with mock.patch.object(sys, "stdin", stdin), \
                 redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("where", ["document", "deformation", "mask"])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, where):
+    doc = write(tmp_path, "aff.json", AFF_DOC)
+    deep = write(tmp_path, "deep.json", DEEP)
+    argv = {
+        "document": ["check", deep],
+        "deformation": ["deform", "verify", doc, "--deformation", deep],
+        "mask": ["search", doc, "--weight", "0", "--grid", "0,1", "--mask", deep],
+    }[where]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "nested too deeply" in captured.err
+
+
+# a JSON value in place of X that loads, but may nest too deeply to be
+# echoed in a message, so no message echoes it: (argv, inputs); @k names
+# the k-th input
+NEAR_THE_LIMIT = {
+    "bracket index": (("check", "@0"),
+                      ('{"field":"rational","algebra":{"dim":1,"bracket":[[X,1,1,"1"]]}}',)),
+    "weight": (("check", "@0"), ('{"field":"rational","algebra":{"dim":1,"bracket":[]},'
+                                 '"operator":{"weight":X,"matrix":[["0"]]}}',)),
+    "baseDigest": (("deform", "verify", "@0", "--deformation", "@1"),
+                   (AFF_DOC, '{"field":"rational","baseDigest":X,"order":0}')),
+    "mask entry": (("search", "@0", "--weight", "0", "--grid", "0,1", "--mask", "@1"),
+                   (AFF_DOC, '{"entries":[[7,1,X]]}')),
+    "bracket index after one out of range": (
+        ("check", "@0"), ('{"field":"rational","algebra":{"dim":1,"bracket":[[2,X,1,"1"]]}}',)),
+    "mask index after one out of range": (
+        ("search", "@0", "--weight", "0", "--grid", "0,1", "--mask", "@1"),
+        (AFF_DOC, '{"entries":[[7,X,"1"]]}')),
+}
+
+
+@pytest.mark.parametrize("where", list(NEAR_THE_LIMIT))
+def test_nesting_near_the_recursion_limit_is_usage_error(tmp_path, capsys, where):
+    argv, texts = NEAR_THE_LIMIT[where]
+    limit = sys.getrecursionlimit()
+    for n in range(limit - 200, limit + 1):
+        value = "[" * n + "]" * n
+        names = [write(tmp_path, f"{k}.json", t.replace("X", value)) for k, t in enumerate(texts)]
+        assert main([names[int(a[1:])] if a.startswith("@") else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "[[[" not in captured.err
+
+
+def test_an_integer_past_the_digit_limit_is_usage_error(tmp_path, capsys):
+    text = '{"field":"rational","algebra":{"dim":1%s,"bracket":[]}}' % ("0" * 5000)
+    assert main(["check", write(tmp_path, "doc.json", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("mrbleib:")
+
+
+# (argv, inputs, the input edited, the path to the object that gets a key);
+# @k names the k-th input
+UNKNOWN_KEY_CASES = {
+    "document": (("check", "@0"), (AFF_DOC,), 0, ()),
+    "algebra": (("check", "@0"), (AFF_DOC,), 0, ("algebra",)),
+    "operator": (("check", "@0"), (AFF_DOC,), 0, ("operator",)),
+    "representation": (("check", "@0"), (G3_TRIV_DOC,), 0, ("representation",)),
+    "deformation": (("deform", "verify", "@0", "--deformation", "@1"),
+                    (AFF_DOC, DEFORMATION), 1, ()),
+    "cocycle": (("extend", "build", "@0", "--cocycle", "@1"), (G3_TRIV_DOC, G3_COCYCLE), 1, ()),
+    "extension": (("extend", "extract", "@0"), (G3_EXTS[0],), 0, ()),
+    "extension base": (("extend", "extract", "@0"), (G3_EXTS[0],), 0, ("base",)),
+}
+
+
+@pytest.mark.parametrize("where", list(UNKNOWN_KEY_CASES))
+def test_an_unknown_key_is_usage_error(tmp_path, capsys, where):
+    argv, texts, k, path = UNKNOWN_KEY_CASES[where]
+
+    def run(texts):
+        names = [write(tmp_path, f"{n}.json", t) for n, t in enumerate(texts)]
+        return main([names[int(a[1:])] if a.startswith("@") else a for a in argv])
+
+    assert run(texts) == 0
+    capsys.readouterr()
+    payload = json.loads(texts[k])
+    target = payload
+    for key in path:
+        target = target[key]
+    if where == "document":  # a misspelt operator used to be ignored
+        target["operater"] = target.pop("operator")
+    else:
+        target["note"] = "1"
+    assert run([json.dumps(payload) if n == k else t for n, t in enumerate(texts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown key" in captured.err
+
+
+@pytest.mark.parametrize("mask", ["{}", G3_DOC], ids=["empty", "document"])
+def test_a_mask_without_entries_is_usage_error(tmp_path, capsys, mask):
+    doc = write(tmp_path, "g3.json", G3_DOC)
+    mask_path = write(tmp_path, "mask.json", mask)
+    assert main(["search", doc, "--weight", "1", "--grid", "0,1", "--mask", mask_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("mrbleib: mask")

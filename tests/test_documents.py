@@ -22,8 +22,8 @@ from mrbleib.documents import (
 )
 from mrbleib.errors import DuplicateKey, IndexOutOfRange, ParseError
 from mrbleib.extensions import extension_from_cocycle
-from mrbleib.cohomology import zero_cone_cochain
-from mrbleib.linalg import Matrix
+from mrbleib.cohomology import cone_differential, vec_to_cone, zero_cone_cochain
+from mrbleib.linalg import Matrix, kernel_basis
 from mrbleib.representations import regular_rep
 
 G3_TEXT = """
@@ -137,6 +137,26 @@ def test_cocycle_document_errors():
                         "psi": [[1, 1, 1, "1"], [1, 1, 1, "2"]], "chi": []}),
             base,
         )
+
+
+def test_every_writer_parses_back():
+    # each writer's output passes its parser's key sets, and writing the
+    # parsed object again gives the same JSON
+    rep = regular_rep(G3, K0)
+    base = AlgebraDocument(G3, K0, rep)
+    cone = vec_to_cone(kernel_basis(cone_differential(G3, K0, rep, 2))[4], 3, 3, 2)
+    iso = FormalIso((Matrix.identity(2), Matrix([[0, 1], [1, 0]]), Matrix.zeros(2, 2)))
+    dfm = apply_formal_iso(TruncatedDeformation.trivial(AFF, ROT, 2), iso)
+    cases = [
+        (document_json, base, parse_document),
+        (deformation_json, dfm, lambda t: parse_deformation(t, AlgebraDocument(AFF, ROT, None))),
+        (lambda c: cocycle_json(c, base), cone, lambda t: parse_cocycle(t, base)),
+        (extension_json, extension_from_cocycle(G3, K0, rep, cone), parse_extension),
+    ]
+    for write, obj, parse in cases:
+        payload = write(obj)
+        parsed = parse(json.dumps(payload))
+        assert write(parsed) == payload and parsed == obj
 
 
 small_entries = st.lists(
