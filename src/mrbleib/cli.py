@@ -194,9 +194,9 @@ def cmd_deform(args):
     if args.subcommand == "verify":
         reports = deformation_residuals(dfm)
         return text, [_section(f"order-{n}", r) for n, r in enumerate(reports)], None
-    cone = infinitesimal(dfm)
-    cls = classify_cochain(dfm.algebra, dfm.ctx, regular_rep(dfm.algebra, dfm.ctx), cone)
     if args.subcommand == "infinitesimal":
+        cone = infinitesimal(dfm)
+        cls = classify_cochain(dfm.algebra, dfm.ctx, regular_rep(dfm.algebra, dfm.ctx), cone)
         result = {
             "mu1": _cochain_json(cone.leib, dfm.algebra.dim),
             "k1": _matrix_json(cone.op.values),
@@ -204,10 +204,11 @@ def cmd_deform(args):
             "coboundary": cls.coboundary,
         }
         return text, [], result
-    if not cls.coboundary:
+    gauged = gauge_step(dfm)
+    if gauged is None:
         reason = "infinitesimal is not a coboundary"
         return text, [{"name": "gauge", "status": "fail", "residuals": [], "reason": reason}], None
-    return text, [], deformation_json(gauge_step(dfm, cls.witness))
+    return text, [], deformation_json(gauged)
 
 
 def cmd_extend_build(args):

@@ -6,7 +6,9 @@ precision-lossless and language-neutral.  One document describes an
 algebra, optionally an operator with its weight, and optionally a
 representation; deformation, cocycle and extension files are supplementary
 documents, and the deformation and cocycle files reference a base document
-by content digest so a mismatched base cannot slip through silently.
+by content digest so a mismatched base cannot slip through silently.  A
+deformation does not depend on the module, so its base is the document
+without its representation.
 
 Every input passes ``read_text`` (a file or standard input, strictly
 UTF-8), ``_load_json``, one key check per object, and ``_parse_entries`` for
@@ -260,7 +262,8 @@ def parse_deformation(text: str, base: AlgebraDocument) -> TruncatedDeformation:
     one per order 1..N], "kk": [d x d matrices, one per order 1..N]}.
     """
     data = _header(_load_json(text, "deformation file"),
-                   {"field", "baseDigest", "order", "mu", "kk"}, "deformation file", base)
+                   {"field", "baseDigest", "order", "mu", "kk"}, "deformation file",
+                   AlgebraDocument(base.algebra, base.operator, None))
     _require(base.operator is not None, "deformation base document needs an operator")
     order = data.get("order")
     _require(_is_count(order), "order must be a count")

@@ -53,10 +53,6 @@ class NotADeformation(MrbError):
     """Deformation data violates the deformation equations."""
 
 
-class NotACoboundaryWitness(MrbError):
-    """The proposed trivializer does not hit the infinitesimal."""
-
-
 class NotAnExtension(MrbError):
     """Extension data fails validation."""
 

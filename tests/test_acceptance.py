@@ -233,9 +233,8 @@ def test_criterion_7_deformations():
                 cocycle.leib, cocycle.op.values
             )
             assert is_residual_free(dfm, 1)
-            witness = classify_cochain(AFF, ROT, rep2, cocycle).witness
-            assert witness is not None
-            out = gauge_step(dfm, witness)
+            out = gauge_step(dfm)
+            assert out is not None and is_residual_free(out)
             assert out.mu[1].is_zero() and out.kk[1].is_zero()
 
 

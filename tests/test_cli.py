@@ -17,7 +17,7 @@ import mrbleib
 from fixtures import AFF, G3, K0, KZ, ROT, TRIV1, Z1, z1_extensions
 from mrbleib.algebra import LeibnizAlgebra, OperatorContext
 from mrbleib.cli import build_parser, execute, main
-from mrbleib.cohomology import cone_differential, vec_to_cone
+from mrbleib.cohomology import cone_differential, cone_preimage, vec_to_cone
 from mrbleib.deformation import FormalIso, TruncatedDeformation, apply_formal_iso
 from mrbleib.documents import (
     AlgebraDocument,
@@ -167,6 +167,52 @@ def test_deform_verify_fails_on_broken_order_one(tmp_path):
     report, code = run_cli(tmp_path, "deform", "verify", doc, "--deformation", dpath)
     assert code == 1
     assert report["sections"][1]["status"] == "fail"
+
+
+def test_a_gauged_deformation_verifies_over_a_base_with_a_module(tmp_path):
+    # a deformation names its base by algebra and operator, so the module a
+    # base document carries does not change which files match it
+    doc = write(tmp_path, "aff.json",
+                serialize_document(AlgebraDocument(AFF, ROT, regular_rep(AFF, ROT))))
+    dpath = write(tmp_path, "def.json", DEFORMATION)
+    report, code = run_cli(tmp_path, "deform", "gauge", doc, "--deformation", dpath)
+    assert code == 0
+    gpath = write(tmp_path, "gauged.json", json.dumps(report["result"]))
+    report, code = run_cli(tmp_path, "deform", "verify", doc, "--deformation", gpath)
+    assert code == 0 and len(report["sections"]) == 3
+
+
+@pytest.mark.parametrize("sub", ["infinitesimal", "gauge"])
+def test_an_order_zero_deformation_is_usage_error(tmp_path, capsys, sub):
+    doc = write(tmp_path, "aff.json", AFF_DOC)
+    dpath = write(tmp_path, "def.json",
+                  json.dumps(deformation_json(TruncatedDeformation.trivial(AFF, ROT, 0))))
+    assert main(["deform", sub, doc, "--deformation", dpath]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "order >= 1" in captured.err
+
+
+def _g3_nontrivial_class():
+    """An order-1 deformation of (G3, K0) whose infinitesimal is a nonzero
+    class of the cone H^2, which is 3-dimensional."""
+    rep = regular_rep(G3, K0)
+    for v in kernel_basis(cone_differential(G3, K0, rep, 2)):
+        c = vec_to_cone(v, 3, 3, 2)
+        if cone_preimage(G3, K0, rep, c) is None:
+            dfm = TruncatedDeformation.trivial(G3, K0, 1).with_order_one(c.leib, c.op.values)
+            return json.dumps(deformation_json(dfm))
+
+
+def test_a_nontrivial_class_is_not_gauged(tmp_path):
+    doc = write(tmp_path, "g3.json", G3_DOC)
+    dpath = write(tmp_path, "def.json", _g3_nontrivial_class())
+    report, code = run_cli(tmp_path, "deform", "infinitesimal", doc, "--deformation", dpath)
+    assert code == 0
+    assert report["result"]["cocycle"] is True and report["result"]["coboundary"] is False
+    report, code = run_cli(tmp_path, "deform", "gauge", doc, "--deformation", dpath)
+    assert code == 1 and "result" not in report
+    assert report["sections"] == [{"name": "gauge", "status": "fail", "residuals": [],
+                                   "reason": "infinitesimal is not a coboundary"}]
 
 
 def test_extend_build_extract_compare(tmp_path):
@@ -531,6 +577,26 @@ def test_build_and_extract_classify_nothing(tmp_path, monkeypatch):
     assert counts == {"cohomology.classify_cochain": 0}
 
 
+DEFORM_COUNTS = ("deformation.deformation_residuals", "cohomology.apply_cone",
+                 "cohomology.cone_preimage", "cohomology.classify_cochain")
+
+
+@pytest.mark.parametrize("sub,expected", [
+    ("gauge", (1, 0, 1, 0)),
+    ("infinitesimal", (1, 1, 1, 1)),
+], ids=["gauge", "infinitesimal"])
+def test_a_deform_request_checks_its_deformation_once(tmp_path, monkeypatch, sub, expected):
+    for alg, ctx in ((AFF, ROT), (G3, K0)):
+        doc = write(tmp_path, "base.json", serialize_document(AlgebraDocument(alg, ctx, None)))
+        iso = FormalIso((Matrix.identity(alg.dim),) * 2 + (Matrix.zeros(alg.dim, alg.dim),))
+        dfm = apply_formal_iso(TruncatedDeformation.trivial(alg, ctx, 2), iso)
+        dpath = write(tmp_path, "def.json", json.dumps(deformation_json(dfm)))
+        with monkeypatch.context() as patch:
+            counts = count_calls(patch, *DEFORM_COUNTS)
+            assert run_cli(tmp_path, "deform", sub, doc, "--deformation", dpath)[1] == 0
+        assert counts == dict(zip(DEFORM_COUNTS, expected))
+
+
 def test_derived_of_a_dimension_one_non_module_fails(tmp_path, capsys):
     # the induced actions over the zero derived bracket pass, but the module
     # itself fails right-absorb: rhoR(x) rhoL(x) + rhoR(x) rhoR(x) = 2
@@ -683,12 +749,16 @@ def mutate(draw, text):
     return json.dumps(doc)
 
 
-def restamp(base, supplement):
-    """The supplement with the baseDigest of base, when base parses."""
+def restamp(command, base, supplement):
+    """The supplement with the baseDigest of base, when base parses; a
+    deformation names its base without the module."""
     try:
-        digest = document_digest(parse_document(base))
+        doc = parse_document(base)
     except MrbError:
         return supplement
+    if command == "deform":
+        doc = AlgebraDocument(doc.algebra, doc.operator, None)
+    digest = document_digest(doc)
     payload = json.loads(supplement)
     if "baseDigest" not in payload:
         return supplement
@@ -705,7 +775,7 @@ def mutated_requests(draw):
     k = draw(st.integers(0, len(texts) - 1))
     texts[k] = mutate(draw, texts[k])
     if k == 0:
-        texts[1:] = [restamp(texts[0], t) for t in texts[1:]]
+        texts[1:] = [restamp(argv[0], texts[0], t) for t in texts[1:]]
     return argv, tuple(texts)
 
 

@@ -36,7 +36,7 @@ from mrbleib.deformation import (
 )
 from mrbleib.errors import (
     DimensionMismatch,
-    NotACoboundaryWitness,
+    InvalidArgument,
     NotADeformation,
     OrderMismatch,
 )
@@ -137,6 +137,11 @@ def test_infinitesimal_requires_residual_freeness():
             infinitesimal(dfm)
 
 
+def test_infinitesimal_requires_order_one():
+    with pytest.raises(InvalidArgument):
+        infinitesimal(TruncatedDeformation.trivial(G3, K0, 0))
+
+
 def test_apply_formal_iso_identity_and_inverse():
     rng = random.Random(12)
     triv = TruncatedDeformation.trivial(AFF, ROT, 3)
@@ -204,21 +209,26 @@ def test_order_mismatch():
         apply_formal_iso(triv, iso)
 
 
+def assert_gauged(out):
+    """out keeps the deformation equations at every order and has no
+    order-1 terms."""
+    assert out is not None and is_residual_free(out)
+    assert out.mu[1].is_zero() and out.kk[1].is_zero()
+
+
 def test_gauge_step_zero_trivializer_on_trivial():
+    # the canonical witness of a zero infinitesimal is zero: nothing moves
     triv = TruncatedDeformation.trivial(G3, K0, 2)
-    out = gauge_step(triv, ConeCochain(zero_cochain(3, 3, 1), zero_cochain(3, 3, 0)))
+    out = gauge_step(triv)
     assert out.mu == triv.mu and out.kk == triv.kk
 
 
 def test_gauge_step_inverts_a_gauge():
     rng = random.Random(6)
-    psi1 = rand_matrix(rng, 3)
-    triv = TruncatedDeformation.trivial(G3, K0, 2)
-    gauged = apply_formal_iso(triv, FormalIso((Matrix.identity(3), psi1, Matrix.zeros(3, 3))))
-    trivializer = ConeCochain(Cochain(1, psi1), zero_cochain(3, 3, 0))
-    out = gauge_step(gauged, trivializer)
-    assert out.mu[1].is_zero() and out.kk[1].is_zero()
-    assert is_residual_free(out, 1)
+    for alg, ctx in ((G3, K0), (AFF, ROT)):
+        triv = TruncatedDeformation.trivial(alg, ctx, 3)
+        gauged = apply_formal_iso(triv, rand_iso(rng, alg.dim, 3))
+        assert_gauged(gauge_step(gauged))
 
 
 def test_gauge_step_on_h2_zero_fixture():
@@ -230,23 +240,18 @@ def test_gauge_step_on_h2_zero_fixture():
         cocycle = vec_to_cone(v, 2, 2, 2)
         dfm = base.with_order_one(cocycle.leib, cocycle.op.values)
         assert is_residual_free(dfm, 1)
-        result = classify_cochain(AFF, ROT, rep, cocycle)
-        assert result.coboundary
-        out = gauge_step(dfm, result.witness)
-        assert out.mu[1].is_zero() and out.kk[1].is_zero()
+        assert_gauged(gauge_step(dfm))
 
 
-def test_gauge_step_rejects_wrong_witness():
-    rng = random.Random(19)
-    psi1 = rand_matrix(rng, 3)
-    triv = TruncatedDeformation.trivial(G3, K0, 1)
-    gauged = apply_formal_iso(triv, FormalIso((Matrix.identity(3), psi1)))
-    bad = ConeCochain(
-        Cochain(1, psi1 + Matrix.identity(3)), zero_cochain(3, 3, 0)
-    )
-    if apply_cone(G3, K0, regular_rep(G3, K0), bad).leib != gauged.mu[1]:
-        with pytest.raises(NotACoboundaryWitness):
-            gauge_step(gauged, bad)
+def test_gauge_step_leaves_a_nontrivial_class():
+    # cone H^2 of (G3, K0) is 3-dimensional: some cocycle is no coboundary
+    rep = regular_rep(G3, K0)
+    base = TruncatedDeformation.trivial(G3, K0, 1)
+    cocycles = [vec_to_cone(v, 3, 3, 2) for v in kernel_basis(cone_differential(G3, K0, rep, 2))]
+    classes = [c for c in cocycles if not classify_cochain(G3, K0, rep, c).coboundary]
+    assert classes
+    for c in classes:
+        assert gauge_step(base.with_order_one(c.leib, c.op.values)) is None
 
 
 CONE_FIXTURES = [(name, alg, ctx) for name, alg, ctx, _ in MRB_FIXTURES] + [
