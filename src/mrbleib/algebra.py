@@ -9,13 +9,13 @@ has a defect checker returning the full list of nonzero residuals.
 
 Every identity that precomposes a bilinear map with linear maps goes
 through one sparse core (``_compose``, ``_apply_after``, ``_leibniz_terms``,
-``_operator_residual``).  A bilinear map is its nonzero constants, a residual
-is a map from basis tuple to sparse vector, and ``_compose`` adds
-mu(L e_i, R e_j) by meeting each constant with the nonzeros of the matching
-rows of L and R.  So the cost follows those nonzeros, not dim**2 dense
-bracket evaluations.  ``mrb_defect`` is the order-0 case of
-``_operator_residual``, whose higher orders are the operator part of the
-deformation equations (``mrbleib.deformation``).  ``rb_defect``,
+``_operator_residual``).  A bilinear map is its nonzero constants, a linear
+map its sparse rows, a residual is a map from basis tuple to sparse vector,
+and ``_compose`` adds mu(L e_i, R e_j) by meeting each constant with the
+nonzeros of the matching rows of L and R.  So the cost follows those
+nonzeros, not dim**2 dense bracket evaluations.  ``mrb_defect`` is the
+order-0 case of ``_operator_residual``, whose higher orders are the operator
+part of the deformation equations (``mrbleib.deformation``).  ``rb_defect``,
 ``derived_algebra`` and the bracket section of ``morphism_defect`` are
 compositions too, and so are the module laws and extension checks, on g + V
 (``mrbleib.representations``, ``mrbleib.extensions``).  ``_report`` lists
@@ -23,6 +23,16 @@ basis tuples in lexicographic order,
 each residual a dense coordinate tuple, and drops residuals that cancel to
 zero, exactly as an evaluation on every basis tuple would
 (``tests/reference.py`` keeps those evaluations as oracles).
+
+The core only adds and multiplies, so it runs on any numbers.
+``mrb_defect``, the derived bracket, and ``rep_defect``, ``mrb_rep_defect``
+and the induced actions of ``mrbleib.representations`` run it on ints:
+``_scaled`` multiplies every constant and matrix entry by one common
+denominator D and the weight by D**2.  Each identity is homogeneous, so its
+residuals come out multiplied by a fixed power of D (D**3 for the modified
+identity, D**2 for the rest), by which ``_dense`` divides the nonzero ones
+once, as the elimination kernel does.  Every value these functions return
+is a ``Fraction``.  The other compositions stay on Fractions.
 
 ``leibniz_defect`` still evaluates every basis triple, although its sparse
 form is one ``_leibniz_terms(acc, mu, mu)`` call.  That call would make the
@@ -187,19 +197,22 @@ def _check_dims(alg: LeibnizAlgebra, ctx: OperatorContext):
         )
 
 
-def _dense(vec: dict, length: int) -> tuple[Fraction, ...]:
-    """A sparse residual ``{position: value}`` as a dense coordinate tuple."""
+def _dense(vec: dict, length: int, den: int | None = None) -> tuple[Fraction, ...]:
+    """A sparse residual ``{position: value}`` as a dense coordinate tuple;
+    integer values scaled by ``den`` (see ``_scaled``) are divided by it."""
     res = [ZERO] * length
     for pos, v in vec.items():
-        res[pos] = v
+        if v:
+            res[pos] = v if den is None else Fraction(v, den)
     return tuple(res)
 
 
 # The bilinear core.  A bilinear map is the list of its nonzero constants
 # (a, b, t, c): mu(e_a, e_b) contains c e_t.  A residual map is
 # {where: {t: value}}, keyed by the 0-based basis tuple it is evaluated at.
-# A matrix enters by the nonzeros of its rows (``_compose``, where None
-# stands for the identity) or of its columns (``_apply_after``).
+# A linear map enters as its sparse rows, {col: value} dicts, by the
+# nonzeros of its rows (``_compose``, where None stands for the identity)
+# or of its columns (``_apply_after``).
 
 
 def _constants(alg: LeibnizAlgebra):
@@ -207,7 +220,24 @@ def _constants(alg: LeibnizAlgebra):
     return [(i - 1, j - 1, k - 1, c) for (i, j, k), c in alg.entries]
 
 
-def _add_at(acc: dict, where, pos: int, v: Fraction):
+def _scaled(mu, rows=(), weight: Fraction = ZERO):
+    """The integer form of core arguments: the lcm D of the denominators
+    of the constants, the row entries and the weight, then the constants
+    and rows times D and the weight times D**2, as ints."""
+    den = math.lcm(
+        weight.denominator,
+        *{e[3].denominator for e in mu},
+        *{v.denominator for r in rows for v in r.values()},
+    )
+    return (
+        den,
+        [(a, b, t, c.numerator * (den // c.denominator)) for a, b, t, c in mu],
+        [{j: v.numerator * (den // v.denominator) for j, v in r.items()} for r in rows],
+        weight.numerator * (den * den // weight.denominator),
+    )
+
+
+def _add_at(acc: dict, where, pos: int, v):
     """acc[where][pos] += v, creating the residual on first use."""
     res = acc.get(where)
     if res is None:
@@ -223,19 +253,19 @@ def _compose(acc: dict, mu, left=None, right=None, s=ONE):
     for a, b, t, c in mu:
         if s is not ONE:
             c *= s
-        for i, u in ((a, ONE),) if left is None else left._rows[a].items():
+        for i, u in ((a, ONE),) if left is None else left[a].items():
             uc = c if u is ONE else u * c
-            for j, v in ((b, ONE),) if right is None else right._rows[b].items():
+            for j, v in ((b, ONE),) if right is None else right[b].items():
                 _add_at(acc, (i, j), t, uc if v is ONE else uc * v)
 
 
-def _apply_after(acc: dict, m: Matrix, res: dict, negate: bool = False):
+def _apply_after(acc: dict, m, res: dict, negate: bool = False):
     """acc[where] += M res[where] (or -= when ``negate``) for every
-    residual, through the nonzero columns of M."""
+    residual, through the nonzero columns of the rows of M."""
     if not res:
         return
     cols = {}
-    for r, row in enumerate(m._rows):
+    for r, row in enumerate(m):
         for t, v in row.items():
             cols.setdefault(t, []).append((r, v))
     for where, vec in res.items():
@@ -267,7 +297,7 @@ def _leibniz_terms(acc: dict, outer, inner):
 
 def _operator_residual(mus, ks, weight, n: int) -> dict:
     """The order-n part of the modified identity for mu_t = sum mu_i t^i and
-    K_t = sum K_i t^i:
+    K_t = sum K_i t^i (each K_i as its rows):
 
       sum_{p+q+r=n} mu_p(K_q x, K_r y) - K_p(mu_q(K_r x, y) + mu_q(x, K_r y))
       - weight * mu_n(x, y).
@@ -288,12 +318,13 @@ def _operator_residual(mus, ks, weight, n: int) -> dict:
     return acc
 
 
-def _report(*sections) -> DefectReport:
+def _report(*sections, den: int | None = None) -> DefectReport:
     """A report from (section, residual map, length) triples, in that order:
     each map's entries in lexicographic order of their basis tuples, given
-    1-based, with every residual a dense tuple; all-zero residuals drop."""
+    1-based, with every residual a dense tuple (divided by ``den`` as in
+    ``_dense``); all-zero residuals drop."""
     return DefectReport(tuple(
-        Defect(section, tuple(x + 1 for x in where), _dense(acc[where], length))
+        Defect(section, tuple(x + 1 for x in where), _dense(acc[where], length, den))
         for section, acc, length in sections
         for where in sorted(acc)
         if any(acc[where].values())
@@ -324,18 +355,21 @@ def mrb_defect(alg: LeibnizAlgebra, ctx: OperatorContext) -> DefectReport:
     the order-0 case of ``_operator_residual``, in lexicographic (i,j)
     order."""
     _check_dims(alg, ctx)
-    acc = _operator_residual([_constants(alg)], [ctx.operator], ctx.weight, 0)
-    return _report(("mrb", acc, alg.dim))
+    den, mu, k, w = _scaled(_constants(alg), ctx.operator._rows, ctx.weight)
+    acc = _operator_residual([mu], [k], w, 0)
+    return _report(("mrb", acc, alg.dim), den=den ** 3)
 
 
 def rb_defect(alg: LeibnizAlgebra, ctx: OperatorContext) -> DefectReport:
     """Residuals of [Tx,Ty] - T([Tx,y] + [x,Ty] + w[x,y]) on basis pairs."""
     _check_dims(alg, ctx)
-    return _report(("rb", _rb_residual(_constants(alg), ctx.operator, ctx.weight), alg.dim))
+    acc = _rb_residual(_constants(alg), ctx.operator._rows, ctx.weight)
+    return _report(("rb", acc, alg.dim))
 
 
-def _rb_residual(mu, t: Matrix, w) -> dict:
-    """[Tx,Ty] - T([Tx,y] + [x,Ty] + w[x,y]) for the bilinear map mu."""
+def _rb_residual(mu, t, w) -> dict:
+    """[Tx,Ty] - T([Tx,y] + [x,Ty] + w[x,y]) for the bilinear map mu and
+    the rows of T."""
     acc = {}
     _compose(acc, mu, t, t)
     mid = {}
@@ -371,13 +405,13 @@ def derived_algebra(alg: LeibnizAlgebra, ctx: OperatorContext) -> LeibnizAlgebra
         raise NotLeibniz("base bracket fails the Leibniz identity")
     if not mrb_defect(alg, ctx).is_empty:
         raise NotModifiedRotaBaxter("operator fails the modified identity")
-    k = ctx.operator
-    mu = _constants(alg)
+    den, mu, k, _ = _scaled(_constants(alg), ctx.operator._rows)
     acc = {}
     _compose(acc, mu, k, None)
     _compose(acc, mu, None, k)
     out = LeibnizAlgebra(alg.dim, [
-        (i + 1, j + 1, t + 1, c) for (i, j), res in acc.items() for t, c in res.items()
+        (i + 1, j + 1, t + 1, Fraction(c, den * den))
+        for (i, j), res in acc.items() for t, c in res.items() if c
     ])
     assert leibniz_defect(out).is_empty
     assert mrb_defect(out, ctx).is_empty
@@ -401,8 +435,8 @@ def morphism_defect(
     bracket = {}
     _compose(bracket, _constants(alg1))
     acc = {}
-    _apply_after(acc, phi, bracket)
-    _compose(acc, _constants(alg2), phi, phi, -ONE)
+    _apply_after(acc, phi._rows, bracket)
+    _compose(acc, _constants(alg2), phi._rows, phi._rows, -ONE)
     diff = phi @ ctx1.operator - ctx2.operator @ phi
     op = {}
     for r, i, v in diff.nonzeros():

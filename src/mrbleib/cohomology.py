@@ -490,23 +490,25 @@ def cohomology_dimensions(
     """Exact cohomology dimensions for degrees 0..max_degree.
 
     With an operator context all three complexes are reported, otherwise
-    only the Loday-Pirashvili one.  The budget caps the cell count of the
-    largest cochain space touched (degree max_degree + 1) and the number of
-    degrees, max_degree + 2.  The algebra is checked (NotLeibniz, and with
-    an operator NotModifiedRotaBaxter, ...) before any table is built; the
-    module is not.
+    only the Loday-Pirashvili one.  The budget bounds the work: each degree
+    n up to max_degree + 1 charges its cochain cells times the index work
+    of a cell, dim_v * d**n * (n + 1)**2, and at least one unit.  The
+    algebra is checked (NotLeibniz, and with an operator
+    NotModifiedRotaBaxter, ...) before any table is built; the module is
+    not.
     """
     if max_degree < 0:
         raise InvalidArgument(f"max degree must be at least 0, got {max_degree}")
     d = alg.dim
     dim_v = rep.dim_v
-    if max_degree + 2 > budget:  # each degree costs one cell at least
+    if max_degree + 2 > budget:  # each degree costs one unit at least
         raise BudgetExceeded(f"{max_degree + 2} cochain degrees exceed budget {budget}")
+    work = 0
     for n in range(max_degree + 2):
-        cells = dim_v * d ** n
-        if cells > budget:
+        work += max(1, dim_v * d ** n * (n + 1) ** 2)
+        if work > budget:
             raise BudgetExceeded(
-                f"degree-{n} cochain space has {cells} cells, budget {budget}"
+                f"cochains through degree {n} cost {work} units of work, budget {budget}"
             )
     degrees = range(max_degree + 1)
     # validate before any table is built from differentials that need not

@@ -131,12 +131,13 @@ def deformation_residuals(
     d = dfm.algebra.dim
     last = dfm.order if through is None else min(through, dfm.order)
     mus = [_cochain_constants(mu, d) for mu in dfm.mu[: last + 1]]
+    ks = [k._rows for k in dfm.kk[: last + 1]]
     reports = []
     for n in range(last + 1):
         leib = {}
         for i in range(n + 1):
             _leibniz_terms(leib, mus[i], mus[n - i])
-        op = _operator_residual(mus, dfm.kk, dfm.ctx.weight, n)
+        op = _operator_residual(mus, ks, dfm.ctx.weight, n)
         reports.append(_report(("leibniz", leib, d), ("operator", op, d)))
     return tuple(reports)
 
@@ -211,6 +212,7 @@ def apply_formal_iso(
     _check_iso(iso, d)
     inv = iso.inverse_coefficients()
     psi = iso.psi
+    rows = [p._rows for p in psi]
     mus = [_cochain_constants(mu, d) for mu in dfm.mu]
     new_mu = []
     new_kk = []
@@ -221,8 +223,8 @@ def apply_formal_iso(
             mid = {}
             for b in range(n + 1 - a):
                 for c in range(n + 1 - a - b):
-                    _compose(mid, mus[b], psi[c], psi[n - a - b - c])
-            _apply_after(acc, inv[a], mid)
+                    _compose(mid, mus[b], rows[c], rows[n - a - b - c])
+            _apply_after(acc, inv[a]._rows, mid)
         new_mu.append(cochain_from_entries(d, d, 2, (
             ((i + 1, j + 1), t + 1, v) for (i, j), res in acc.items() for t, v in res.items()
         )))
@@ -248,6 +250,7 @@ def equivalence_residuals(
         raise DimensionMismatch(f"deformations have dims {d} and {d2.algebra.dim}")
     _check_iso(iso, d)
     psi = iso.psi
+    rows = [p._rows for p in psi]
     mus1 = [_cochain_constants(mu, d) for mu in d1.mu]
     mus2 = [_cochain_constants(mu, d) for mu in d2.mu]
     reports = []
@@ -256,9 +259,9 @@ def equivalence_residuals(
         for a in range(n + 1):
             mid = {}
             _compose(mid, mus2[n - a])
-            _apply_after(bracket, psi[a], mid)
+            _apply_after(bracket, rows[a], mid)
             for b in range(n + 1 - a):
-                _compose(bracket, mus1[a], psi[b], psi[n - a - b], -ONE)
+                _compose(bracket, mus1[a], rows[b], rows[n - a - b], -ONE)
         lhs_k = Matrix.zeros(d, d)
         rhs_k = Matrix.zeros(d, d)
         for a in range(n + 1):

@@ -128,12 +128,13 @@ def validate_extension(ext: ExtensionData) -> DefectReport:
     items.append(("operator-diagram", (), (ext.total_op.weight - ext.base_op.weight,)))
     mu = _constants(ext.total)
     fiber, into_left, into_right = {}, {}, {}
-    _compose(fiber, mu, ext.incl, ext.incl)
+    incl = ext.incl._rows
+    _compose(fiber, mu, incl, incl)
     items += [("abelian", (a + 1, b + 1), _dense(fiber[a, b], d + m)) for a, b in sorted(fiber)]
-    for acc, left, right in ((into_left, None, ext.incl), (into_right, ext.incl, None)):
+    for acc, left, right in ((into_left, None, incl), (into_right, incl, None)):
         raw = {}
         _compose(raw, mu, left, right)
-        _apply_after(acc, ext.proj, raw)
+        _apply_after(acc, ext.proj._rows, raw)
     for t, b in sorted({*into_left, *((t, b) for b, t in into_right)}):
         items.append(("ideal-left", (t + 1, b + 1), _dense(into_left.get((t, b), {}), d)))
         items.append(("ideal-right", (b + 1, t + 1), _dense(into_right.get((b, t), {}), d)))
@@ -195,10 +196,11 @@ def _read_off(
     d, m = ext.base.dim, ext.fiber_dim
     mu = _constants(ext.total)
     seen = []
-    for left, right in ((section, ext.incl), (ext.incl, section), (section, section)):
+    s, incl = section._rows, ext.incl._rows
+    for left, right in ((s, incl), (incl, s), (s, s)):
         raw, acc = {}, {}
         _compose(raw, mu, left, right)
-        _apply_after(acc, t, raw)
+        _apply_after(acc, t._rows, raw)
         seen.append(acc)
 
     def cols(acc, keys):

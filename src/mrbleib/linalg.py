@@ -1,7 +1,9 @@
 """Exact rational scalars, sparse matrices and the rank/kernel/solve core.
 
-Scalars are ``fractions.Fraction`` throughout: every computation in this
-package is exact, nothing is ever rounded.  A linear map from a space of
+Every scalar the package takes or returns is a ``fractions.Fraction``:
+every computation is exact, nothing is ever rounded.  Inside, the
+elimination kernel and the bilinear core of ``mrbleib.algebra`` scale to a
+common denominator and run on ints.  A linear map from a space of
 dimension ``a`` to one of dimension ``b`` is a ``b x a`` matrix whose
 column ``j`` is the image of the ``j``-th basis vector.
 
@@ -359,6 +361,7 @@ def unflatten(pos: int, arity: int, dim: int) -> tuple[int, ...]:
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
+
 
 def vec_is_zero(u) -> bool:
     return all(not a for a in u)

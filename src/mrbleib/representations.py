@@ -20,14 +20,17 @@ the Leibniz identity (``rep_defect``), the operator identities of K + K_V
 (``mrb_rep_defect``, ``rb_rep_defect``), compositions with K and K_V
 (``induced_rep``).  Each residual at v_b is column b of a dim_v x dim_v
 matrix, flattened row-major in the reports (``tests/reference.py`` keeps
-the dense matrix products as oracles).  The same constants build the
-algebra g + V itself in ``extensions.extension_from_cocycle``, whose zero
-class is the semidirect product (``extensions.semidirect``).
+the dense matrix products as oracles).  ``rep_defect``, ``mrb_rep_defect``
+and ``induced_rep`` run the core on scaled ints (``algebra._scaled``) and
+return Fractions.  The same constants build the algebra g + V itself in
+``extensions.extension_from_cocycle``, whose zero class is the semidirect
+product (``extensions.semidirect``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
     Defect,
@@ -41,6 +44,7 @@ from .algebra import (
     _leibniz_terms,
     _operator_residual,
     _rb_residual,
+    _scaled,
     mrb_defect,
     derived_algebra,
     rb_to_mrb,
@@ -51,7 +55,7 @@ from .errors import (
     NotModifiedRotaBaxter,
     NotRBRepresentation,
 )
-from .linalg import Matrix, ZERO
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -88,12 +92,13 @@ def _module_constants(d: int, rep: Representation):
 
 
 def _on_direct_sum(alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation):
-    """The module constants and the operator K + K_V, after the shape checks."""
+    """The module constants and the rows of the operator K + K_V, after the
+    shape checks."""
     _shape_check(alg, rep)
     if ctx.operator.rows != alg.dim:
         raise DimensionMismatch("operator does not match algebra dimension")
     left, right = _module_constants(alg.dim, rep)
-    return left, right, Matrix.diag_blocks(ctx.operator, rep.k_v)
+    return left, right, Matrix.diag_blocks(ctx.operator, rep.k_v)._rows
 
 
 def _by_action(acc: dict, d: int, n: int):
@@ -108,9 +113,9 @@ def _by_action(acc: dict, d: int, n: int):
     return out
 
 
-def _action_report(acc: dict, d: int, n: int) -> DefectReport:
+def _action_report(acc: dict, d: int, n: int, den: int | None = None) -> DefectReport:
     return DefectReport(tuple(
-        Defect(section, (i + 1,), _dense(res, n * n))
+        Defect(section, (i + 1,), _dense(res, n * n, den))
         for i, sides in enumerate(_by_action(acc, d, n))
         for section, res in zip(("left", "right"), sides)
         if any(res.values())
@@ -131,9 +136,11 @@ def rep_defect(alg: LeibnizAlgebra, rep: Representation) -> DefectReport:
     """
     _shape_check(alg, rep)
     d, n = alg.dim, rep.dim_v
+    g = _constants(alg)
     left, right = _module_constants(d, rep)
+    den, mu, _, _ = _scaled(g + left + right)
     acc = {}
-    _leibniz_terms(acc, left + right, _constants(alg) + left + right)
+    _leibniz_terms(acc, mu[len(g):], mu)
     pairs = {}
     for (x, y, z), res in acc.items():
         if z >= d:
@@ -148,9 +155,9 @@ def rep_defect(alg: LeibnizAlgebra, rep: Representation) -> DefectReport:
             pos = (t - d) * n + b
             sections[k][pos] = v if k == 2 else -v
             if k:  # right-absorb is left-right minus right-right
-                absorb[pos] = absorb.get(pos, ZERO) - v
+                absorb[pos] = absorb.get(pos, 0) - v
     return DefectReport(tuple(
-        Defect(section, (i + 1, j + 1), _dense(res, n * n))
+        Defect(section, (i + 1, j + 1), _dense(res, n * n, den * den))
         for (i, j), sections in sorted(pairs.items())
         for section, res in zip(
             ("left-left", "left-right", "right-right", "right-absorb"), sections
@@ -166,8 +173,9 @@ def mrb_rep_defect(
     the modified identity of K + K_V on g + V at (x_i, v) ("left") and at
     (v, x_i) ("right")."""
     left, right, kk = _on_direct_sum(alg, ctx, rep)
-    acc = _operator_residual([left + right], [kk], ctx.weight, 0)
-    return _action_report(acc, alg.dim, rep.dim_v)
+    den, mu, kk, w = _scaled(left + right, kk, ctx.weight)
+    acc = _operator_residual([mu], [kk], w, 0)
+    return _action_report(acc, alg.dim, rep.dim_v, den ** 3)
 
 
 def rb_rep_defect(
@@ -240,13 +248,15 @@ def induced_rep(
 def _induced(alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation) -> Representation:
     """The actions rho(Kx) - K_V rho(x), without the checks of ``induced_rep``:
     the left actions with K on their first argument, the right actions with
-    K on their second, minus K_V after the plain actions."""
+    K on their second, minus K_V after the plain actions.  A left action's
+    first argument and a right action's second lie in g, where K + K_V is K."""
     left, right, kk = _on_direct_sum(alg, ctx, rep)
+    den, mu, kk, _ = _scaled(left + right, kk)
     acc = {}
-    _compose(acc, left, ctx.operator, None)
-    _compose(acc, right, None, ctx.operator)
+    _compose(acc, mu[:len(left)], kk, None)
+    _compose(acc, mu[len(left):], None, kk)
     plain = {}
-    _compose(plain, left + right)
+    _compose(plain, mu)
     _apply_after(acc, kk, plain, negate=True)
     n = rep.dim_v
     mats = []
@@ -255,7 +265,7 @@ def _induced(alg: LeibnizAlgebra, ctx: OperatorContext, rep: Representation) -> 
             rows = [{} for _ in range(n)]
             for pos, v in res.items():
                 if v:
-                    rows[pos // n][pos % n] = v
+                    rows[pos // n][pos % n] = Fraction(v, den * den)
             mats.append(Matrix._sparse(rows, n))
     return Representation(n, mats[0::2], mats[1::2], rep.k_v)
 

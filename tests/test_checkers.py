@@ -9,6 +9,13 @@ The same holds for everything else written on the sparse bilinear core:
 equations, formal isomorphisms and equivalence equations, the module laws
 ``mrb_rep_defect`` and ``rb_rep_defect``, the induced module, and the
 checks and read-off of abelian extensions.
+
+``mrb_defect``, ``derived_algebra`` and the module laws and induced actions
+run the core on integers scaled by a common denominator; the fractions
+drawn here have denominators up to 7, so a draw's common denominator is
+rarely 1, and the tests below pin that every value they return is a
+``Fraction`` and that denominators from the constants, the operator and the
+weight all come out right.
 """
 
 from fractions import Fraction as F
@@ -17,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from fixtures import MRB_FIXTURES, SL2_ROT, SL2_ROT_K, change_basis
+from fixtures import G3, MRB_FIXTURES, SL2, SL2_ROT, SL2_ROT_K, change_basis
 from mrbleib.algebra import (
     Defect,
     LeibnizAlgebra,
@@ -27,6 +34,7 @@ from mrbleib.algebra import (
     mrb_defect,
     rb_defect,
 )
+from mrbleib.cli import build_parser, execute
 from mrbleib.cohomology import Cochain, bracket_cochain, cochain_entries, zero_cone_cochain
 from mrbleib.deformation import (
     FormalIso,
@@ -35,6 +43,7 @@ from mrbleib.deformation import (
     deformation_residuals,
     equivalence_residuals,
 )
+from mrbleib.documents import AlgebraDocument, serialize_document
 from mrbleib.errors import MrbError
 from mrbleib.extensions import (
     ExtensionData,
@@ -59,7 +68,7 @@ from mrbleib.representations import (
     rep_defect,
 )
 
-fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 7))
 
 
 def sparse_matrix(draw, n, density, cols=None):
@@ -276,3 +285,63 @@ def test_one_constant_in_dimension_forty():
             ("left-left", 1), ("left-right", 1), ("right-right", -1), ("right-absorb", 2),
         )
     )
+
+
+def all_fractions(values) -> bool:
+    return all(type(v) is F for v in values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures())
+def test_the_integer_path_returns_fractions(structure):
+    alg, ctx, module = structure
+    for rep in (module, regular_rep(alg, ctx)):
+        for report in (mrb_defect(alg, ctx), rep_defect(alg, rep), mrb_rep_defect(alg, ctx, rep)):
+            assert all(all_fractions(d.residual) for d in report.entries)
+        induced = _induced(alg, ctx, rep)
+        for m in (*induced.rho_left, *induced.rho_right):
+            assert all_fractions(v for _, _, v in m.nonzeros())
+
+
+@pytest.mark.parametrize("name,alg,ctx", CORE_FIXTURES, ids=[f[0] for f in CORE_FIXTURES])
+def test_the_derived_bracket_has_fraction_constants(name, alg, ctx):
+    assert all_fractions(c for _, c in derived_algebra(alg, ctx).entries)
+
+
+# sl2 split as span(e, h) + span(f) with s = 1/2: K = diag(s, -s, s) is
+# modified Rota-Baxter of weight -s^2, its denominators in K and the weight
+SL2_HALF = OperatorContext(Matrix([[F(1, 2), 0, 0], [0, F(-1, 2), 0], [0, 0, F(1, 2)]]), F(-1, 4))
+# K0 = diag(1, 0, 0) on G3 has weight 1; at weight 1/3 the modified identity
+# fails at (e1, e1) by [e1,e1] - 1/3 [e1,e1] = 2/3 e3, and so does the
+# module law of the regular module at e1, at V-entry (3, 1) on both sides
+G3_THIRD = OperatorContext(Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), F(1, 3))
+THIRD = ["0"] * 6 + ["2/3", "0", "0"]
+
+PINNED = [
+    ("sl2-half", SL2, SL2_HALF, {}),
+    ("g3-third", G3, G3_THIRD, {
+        "mrb": [("mrb", [1, 1], ["0", "0", "2/3"])],
+        "mrb-representation": [("left", [1], THIRD), ("right", [1], THIRD)],
+    }),
+]
+
+
+@pytest.mark.parametrize("name,alg,ctx,failures", PINNED, ids=[f[0] for f in PINNED])
+def test_denominators_from_the_operator_and_the_weight(tmp_path, name, alg, ctx, failures):
+    rep = regular_rep(alg, ctx)
+    assert mrb_defect(alg, ctx) == reference.mrb_defect(alg, ctx)
+    assert rep_defect(alg, rep) == reference.rep_defect(alg, rep)
+    assert mrb_rep_defect(alg, ctx, rep) == reference.mrb_rep_defect(alg, ctx, rep)
+    assert _induced(alg, ctx, rep) == reference.induced_rep(alg, ctx, rep)
+    assert outcome(derived_algebra, alg, ctx) == outcome(reference.derived_algebra, alg, ctx)
+    path = tmp_path / "doc.json"
+    path.write_text(serialize_document(AlgebraDocument(alg, ctx, None)))
+    report, code = execute(build_parser().parse_args(["check", str(path)]))
+    assert code == (1 if failures else 0)
+    assert [
+        (s["name"], [(r["kind"], r["at"], r["value"]) for r in s["residuals"]])
+        for s in report["sections"]
+    ] == [
+        (section, failures.get(section, []))
+        for section in ("leibniz", "mrb", "representation", "mrb-representation")
+    ]

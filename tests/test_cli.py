@@ -31,7 +31,7 @@ from mrbleib.documents import (
 from mrbleib.extensions import extension_from_cocycle
 from mrbleib.cohomology import ConeCochain, apply_delta, apply_phi, Cochain, zero_cone_cochain
 from mrbleib.errors import MrbError
-from mrbleib.linalg import Matrix, kernel_basis
+from mrbleib.linalg import Matrix, format_rational, kernel_basis
 from mrbleib.representations import Representation, regular_rep
 
 G3_DOC = serialize_document(AlgebraDocument(G3, K0, None))
@@ -483,11 +483,15 @@ def test_wrongly_typed_json_is_a_usage_error(tmp_path, capsys, where):
 
 DIM0 = '{"field":"rational","algebra":{"dim":0,"bracket":[]}}'
 HUGE = '{"field":"rational","algebra":{"dim":%d,"bracket":[]}}' % 10 ** 30
+DIM1 = '{"field":"rational","algebra":{"dim":1,"bracket":[]},"operator":{"weight":"-1","matrix":[["1"]]}}'
 
 
 @pytest.mark.parametrize("text,argv,message", [
-    # every degree counts as one cell at least, even when dim is 0
+    # every degree counts as one unit of work at least, even when dim is 0
     (DIM0, ["cohomology", "--max-degree", "1000000000"], "budget"),
+    # one cell per degree, but degree n costs (n + 1)**2 per cell: through
+    # degree 401 that is 21.7M units, about 40 s of work
+    (DIM1, ["cohomology", "--max-degree", "400"], "budget"),
     (HUGE, ["check"], "too large"),
 ])
 def test_hopeless_requests_are_refused_at_once(tmp_path, capsys, text, argv, message):
@@ -722,6 +726,11 @@ def paths(node, prefix=()):
         yield from paths(value, prefix + (key,))
 
 
+# a rational with denominator 1 to 7, so that a mutated document that still
+# parses reaches the checkers with a new common denominator
+rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 7))
+
+
 def mutate(draw, text):
     """text with one to three changes at random places below its field tag:
     a scalar replaced by one of its type (a rational string, a small count),
@@ -741,7 +750,7 @@ def mutate(draw, text):
         if action == "delete":
             del parent[key]
         elif action == "retype" and isinstance(old, str):
-            parent[key] = draw(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2"]))
+            parent[key] = format_rational(draw(rationals))
         elif action == "retype" and type(old) is int:
             parent[key] = draw(st.integers(0, 4))
         else:
